@@ -15,7 +15,6 @@ import (
 	"wideplace/internal/core"
 	"wideplace/internal/experiments"
 	"wideplace/internal/heuristics"
-	"wideplace/internal/lp"
 	"wideplace/internal/sim"
 	"wideplace/internal/topology"
 	"wideplace/internal/workload"
@@ -228,49 +227,6 @@ func cloneStore(src [][][]float64) [][][]float64 {
 		}
 	}
 	return out
-}
-
-// BenchmarkLPDenseVsSparse is the factorization ablation: the same MC-PERF
-// LP solved with the dense and the sparse basis backends. The instance is
-// deliberately tiny — a dense LU at the small-scale basis size (~5k rows)
-// already takes minutes per refactorization, which is the ablation's
-// conclusion in itself.
-func BenchmarkLPDenseVsSparse(b *testing.B) {
-	spec := benchSpec(b, experiments.WEB)
-	spec.Nodes = 6
-	spec.Objects = 10
-	spec.Requests = 1500
-	spec.Horizon = 4 * time.Hour
-	sys, err := experiments.Build(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst, err := sys.Instance(0.95)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, backend := range []struct {
-		name string
-		fac  func() lp.Factorizer
-	}{
-		{"dense", func() lp.Factorizer { return lp.NewDenseFactor(0) }},
-		{"sparse", func() lp.Factorizer { return lp.NewSparseFactor(0) }},
-	} {
-		b.Run(backend.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bound, err := inst.LowerBound(core.General(), core.BoundOptions{
-					SkipRounding: true,
-					LP:           lp.Options{Factorizer: backend.fac()},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("%s bound=%.2f iters=%d", backend.name, bound.LPBound, bound.LPIterations)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkLagrangianVsExact is the bound-engine ablation: exact LP vs the

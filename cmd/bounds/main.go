@@ -104,9 +104,7 @@ func run() error {
 		ColdStart:    !*warmStart,
 	}
 	opts.Bound.SkipRounding = *skipRound
-	if err := lpFlags.Apply(&opts.Bound.LP); err != nil {
-		return err
-	}
+	opts.Bound.LP.Presolve = lpFlags.Presolve()
 	var fig *experiments.Figure
 	if scnClasses != nil {
 		// Empty title = the Sweep default, which is also what placementd

@@ -89,9 +89,7 @@ func run(args []string, stdout io.Writer) error {
 		Cost: core.DefaultCost(),
 		Goal: core.QoS(*tqos, sys.Spec.Tlat),
 	}
-	if err := lpFlags.Apply(&cfg.LP); err != nil {
-		return err
-	}
+	cfg.LP.Presolve = lpFlags.Presolve()
 	lookahead := !*reactive
 	warm, err := controller.Replay(cfg, counts, lookahead)
 	if err != nil {
@@ -253,11 +251,11 @@ type benchRecord struct {
 	ColdResolveWallNs     int64   `json:"coldResolveWallNs"`
 	ResolveIterSpeedup    float64 `json:"resolveIterSpeedup"`
 	ResolveWallSpeedup    float64 `json:"resolveWallSpeedup"`
-	BasisRepairs   int     `json:"basisRepairs"`
-	ChangedCoefs   int     `json:"changedCoefs"`
-	Adds           int     `json:"adds"`
-	Drops          int     `json:"drops"`
-	AvgStaleness   float64 `json:"avgStaleness"`
+	BasisRepairs          int     `json:"basisRepairs"`
+	ChangedCoefs          int     `json:"changedCoefs"`
+	Adds                  int     `json:"adds"`
+	Drops                 int     `json:"drops"`
+	AvgStaleness          float64 `json:"avgStaleness"`
 }
 
 // compareRecords gates on the BENCH_controller.json history: the latest

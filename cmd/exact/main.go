@@ -60,9 +60,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errors.New("-scenario is required (try tree-kary-63 or tree-random-100)")
 	}
 	var lpOpts lp.Options
-	if err := lpFlags.Apply(&lpOpts); err != nil {
-		return err
-	}
+	lpOpts.Presolve = lpFlags.Presolve()
 	res, err := cli.ResolveScenario(*scenarioFlag, "exact", cli.ScenarioOptions{Nodes: *nodesFlag}, stderr)
 	if err != nil {
 		return err

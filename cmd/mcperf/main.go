@@ -115,9 +115,7 @@ func run(args []string, stdout io.Writer) error {
 		SkipRounding: *skipRound,
 		Round:        core.RoundOptions{RunLength: *runLength},
 	}
-	if err := lpFlags.Apply(&bopts.LP); err != nil {
-		return err
-	}
+	bopts.LP.Presolve = lpFlags.Presolve()
 	b, err := inst.LowerBound(class, bopts)
 	if err != nil {
 		return err

@@ -90,10 +90,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	presolveMode, rule, backend, err := lpFlags.Resolve()
-	if err != nil {
-		return err
-	}
+	presolveMode := lpFlags.Presolve()
 	switch *mode {
 	case "standalone", "coordinator", "worker":
 	default:
@@ -121,8 +118,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 			CheckEvery:   *checkEvery,
 			ColdStart:    !*warmStart,
 			Presolve:     presolveMode,
-			Pricing:      rule,
-			Factor:       backend,
 		})
 		if *coordURL != "" {
 			adv := *advertise
@@ -142,8 +137,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		CheckEvery:   *checkEvery,
 		ColdStart:    !*warmStart,
 		Presolve:     presolveMode,
-		Pricing:      rule,
-		Factor:       backend,
 		MaxJobs:      *maxJobs,
 	}
 	if *mode == "coordinator" {

@@ -62,9 +62,7 @@ func run(args []string, stdout io.Writer) error {
 		Ctx:          ctx,
 		ColdStart:    !*warmStart,
 	}
-	if err := lpFlags.Apply(&opts.Bound.LP); err != nil {
-		return err
-	}
+	opts.Bound.LP.Presolve = lpFlags.Presolve()
 	res, err := experiments.Figure2(sys, opts, cli.Progress(*verbose, os.Stderr))
 	if err != nil {
 		return err

@@ -144,9 +144,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Ctx:          ctx,
 	}
 	opts.Bound.SkipRounding = !*rounding
-	if err := lpFlags.Apply(&opts.Bound.LP); err != nil {
-		return err
-	}
+	opts.Bound.LP.Presolve = lpFlags.Presolve()
 
 	record := scaleRecord{
 		GoVersion:  runtime.Version(),

@@ -32,13 +32,10 @@ type WorkerConfig struct {
 	CheckEvery int
 	// ColdStart disables warm-start basis chaining inside the column.
 	ColdStart bool
-	// Presolve/Pricing/Factor select the LP configuration, identical in
-	// meaning to the standalone server's fields. Bounds are invariant to
-	// all three; keep them at defaults fleet-wide so effort counters
-	// aggregate consistently.
+	// Presolve selects the LP presolve mode, identical in meaning to the
+	// standalone server's field. Bounds are invariant to it; keep it at
+	// the default fleet-wide so effort counters aggregate consistently.
 	Presolve lp.PresolveMode
-	Pricing  lp.PricingRule
-	Factor   lp.FactorBackend
 }
 
 // Worker solves column shards on demand. It is the dumb half of the
@@ -119,8 +116,6 @@ func (w *Worker) solve(ctx context.Context, shard *ShardJob) ([]experiments.Poin
 	}
 	opts.Bound.LP.CheckEvery = w.cfg.CheckEvery
 	opts.Bound.LP.Presolve = w.cfg.Presolve
-	opts.Bound.LP.Pricing = w.cfg.Pricing
-	opts.Bound.LP.Factor = w.cfg.Factor
 	points, err := shard.Solve(opts)
 	if err != nil {
 		return nil, err

@@ -16,8 +16,8 @@ import (
 //
 //	LP lower bound <= exact optimum <= rounded certificate cost
 //
-// under every solver configuration (warm/cold start x dense/sparse
-// factorization x presolve on/off), the bounds must agree across
+// under every solver configuration (warm/cold start x presolve on/off),
+// the bounds must agree across
 // configurations, and the DP witness must verify as a feasible MC-PERF
 // solution of exactly the optimal cost.
 func TestExactOracleDifferential(t *testing.T) {
@@ -32,20 +32,16 @@ func TestExactOracleDifferential(t *testing.T) {
 	type cfg struct {
 		name     string
 		warm     bool
-		factor   lp.FactorBackend
 		presolve lp.PresolveMode
 	}
 	var cfgs []cfg
 	for _, warm := range []bool{false, true} {
-		for _, factor := range []lp.FactorBackend{lp.FactorDense, lp.FactorSparse} {
-			for _, pre := range []lp.PresolveMode{lp.PresolveOn, lp.PresolveOff} {
-				cfgs = append(cfgs, cfg{
-					name:     fmt.Sprintf("warm=%v/factor=%v/presolve=%v", warm, factor == lp.FactorSparse, pre == lp.PresolveOff),
-					warm:     warm,
-					factor:   factor,
-					presolve: pre,
-				})
-			}
+		for _, pre := range []lp.PresolveMode{lp.PresolveOn, lp.PresolveOff} {
+			cfgs = append(cfgs, cfg{
+				name:     fmt.Sprintf("warm=%v/presolve=%v", warm, pre == lp.PresolveOff),
+				warm:     warm,
+				presolve: pre,
+			})
 		}
 	}
 	for _, sc := range scenarios {
@@ -86,7 +82,7 @@ func TestExactOracleDifferential(t *testing.T) {
 				var warmBasis *lp.Basis
 				first := math.NaN()
 				for _, c := range cfgs {
-					opts := lp.Options{Factor: c.factor, Presolve: c.presolve}
+					opts := lp.Options{Presolve: c.presolve}
 					if c.warm {
 						if warmBasis == nil {
 							// Prime a basis with a plain solve of this cell.

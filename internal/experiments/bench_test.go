@@ -7,27 +7,8 @@ import (
 	"runtime"
 	"testing"
 
-	"wideplace/internal/core"
 	"wideplace/internal/lp"
 )
-
-// legacyOptions pins a sweep to the engine's pre-presolve configuration:
-// Dantzig partial pricing, no presolve layer, no compiled-problem rebind.
-// The Warm/Cold benchmarks and the SolverCold record run under these pins
-// so their history stays comparable across engine revisions; the default
-// path is measured separately (BenchmarkSweepPresolved, Solver record).
-func legacyOptions(cold bool) Options {
-	return Options{
-		Parallel:  1,
-		ColdStart: cold,
-		NoRebind:  true,
-		Bound: core.BoundOptions{
-			// FactorDense: the recorded path predates the sparse-first
-			// crossover; these small bases factored densely then.
-			LP: lp.Options{Pricing: lp.PricingDantzig, Presolve: lp.PresolveOff, Factor: lp.FactorDense},
-		},
-	}
-}
 
 // benchSpec is the fixed instance every sweep benchmark runs: small
 // enough for CI, large enough that the LP dominates setup. Changing it
@@ -94,18 +75,13 @@ func benchLadderSweep(b *testing.B, opts Options) {
 	}
 }
 
-// BenchmarkSweepWarm/Cold isolate the warm-start speedup on the legacy
-// (pre-presolve) path: one serial sweep of the ladder instance with and
-// without basis chaining, both under legacyOptions so the series stays
-// comparable with its recorded history.
-func BenchmarkSweepWarm(b *testing.B) { benchLadderSweep(b, legacyOptions(false)) }
-func BenchmarkSweepCold(b *testing.B) { benchLadderSweep(b, legacyOptions(true)) }
-
-// BenchmarkSweepPresolved is the same serial ladder sweep under the
-// engine defaults: presolve, devex pricing, compiled-problem rebind and
-// warm chaining. Its gap to BenchmarkSweepWarm is the speedup the
-// solver-speed layer buys over plain warm chaining.
-func BenchmarkSweepPresolved(b *testing.B) { benchLadderSweep(b, Options{Parallel: 1}) }
+// BenchmarkSweepWarm/Cold isolate the warm-start speedup: one serial sweep
+// of the ladder instance under the engine defaults, with and without basis
+// chaining. BENCH_sweep.json records written before these ran on the
+// defaults timed a Dantzig, no-presolve, no-rebind path under the same
+// names; their default-path twin was SweepPresolved.
+func BenchmarkSweepWarm(b *testing.B) { benchLadderSweep(b, Options{Parallel: 1}) }
+func BenchmarkSweepCold(b *testing.B) { benchLadderSweep(b, Options{Parallel: 1, ColdStart: true}) }
 
 // benchSweepEntry is one benchmark's wall-time measurement.
 type benchSweepEntry struct {
@@ -116,23 +92,23 @@ type benchSweepEntry struct {
 
 // benchSolver holds a sweep's deterministic solver-effort counters.
 type benchSolver struct {
-	Cells            int   `json:"cells"`
-	Iterations       int   `json:"iterations"`
-	Phase1Iterations int   `json:"phase1Iterations"`
+	Cells            int `json:"cells"`
+	Iterations       int `json:"iterations"`
+	Phase1Iterations int `json:"phase1Iterations"`
 	// InitialFactorizations (one per solve) and Refactorizations
 	// (mid-solve only) were a single conflated counter on records written
 	// before the split; omitempty keeps those records parseable.
-	InitialFactorizations int `json:"initialFactorizations,omitempty"`
-	Refactorizations      int `json:"refactorizations"`
-	DegenerateSteps  int   `json:"degenerateSteps"`
-	BoundFlips       int   `json:"boundFlips"`
-	PricingScans     int64 `json:"pricingScans"`
-	WarmSolves       int   `json:"warmSolves,omitempty"`
-	ColdSolves       int   `json:"coldSolves,omitempty"`
-	WarmIterations   int   `json:"warmIterations,omitempty"`
-	ColdIterations   int   `json:"coldIterations,omitempty"`
+	InitialFactorizations int   `json:"initialFactorizations,omitempty"`
+	Refactorizations      int   `json:"refactorizations"`
+	DegenerateSteps       int   `json:"degenerateSteps"`
+	BoundFlips            int   `json:"boundFlips"`
+	PricingScans          int64 `json:"pricingScans"`
+	WarmSolves            int   `json:"warmSolves,omitempty"`
+	ColdSolves            int   `json:"coldSolves,omitempty"`
+	WarmIterations        int   `json:"warmIterations,omitempty"`
+	ColdIterations        int   `json:"coldIterations,omitempty"`
 	// Presolve/rebind/pricing counters, zero (and omitted) on records
-	// predating the solver-speed layer and on legacy-pinned sweeps.
+	// predating the solver-speed layer.
 	PresolveRowsRemoved int    `json:"presolveRowsRemoved,omitempty"`
 	PresolveColsRemoved int    `json:"presolveColsRemoved,omitempty"`
 	RebindSolves        int    `json:"rebindSolves,omitempty"`
@@ -150,10 +126,9 @@ type benchRecord struct {
 	Sweeps     []benchSweepEntry `json:"sweeps"`
 	// Solver counts the default serial benchSpec sweep (warm chaining,
 	// presolve, devex, rebind — whatever the engine's defaults are at
-	// that revision); SolverCold pins the same sweep to the legacy cold
-	// path so its series stays comparable across engine revisions.
-	Solver     benchSolver  `json:"solver"`
-	SolverCold *benchSolver `json:"solverCold,omitempty"`
+	// that revision). Older records also carry a solverCold block: the
+	// same sweep pinned to the legacy Dantzig, no-presolve cold path.
+	Solver benchSolver `json:"solver"`
 }
 
 func solverCounters(fig *Figure) benchSolver {
@@ -176,40 +151,6 @@ func solverCounters(fig *Figure) benchSolver {
 	out.RebindSolves = agg.RebindSolves
 	out.Pricing = agg.PricingRule
 	return out
-}
-
-// TestLegacyColdCountersMatchRecord pins the legacy (Dantzig, no-presolve,
-// no-rebind) cold path to the counters recorded in BENCH_sweep.json before
-// the solver-speed layer landed: under those pins the engine must retrace
-// the old path step for step.
-func TestLegacyColdCountersMatchRecord(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full legacy cold sweep")
-	}
-	sys := benchSpec(t)
-	fig, err := Figure1(sys, legacyOptions(true), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := solverCounters(fig)
-	got.Pricing = ""
-	// The recorded 155 factorizations predate the initial/mid-solve split:
-	// 8 were the per-solve setup factorizations, 147 happened mid-solve.
-	want := benchSolver{
-		Cells:                 12,
-		Iterations:            9765,
-		Phase1Iterations:      4513,
-		InitialFactorizations: 8,
-		Refactorizations:      147,
-		DegenerateSteps:       8147,
-		BoundFlips:            13,
-		PricingScans:          11361061,
-		ColdSolves:            8,
-		ColdIterations:        9765,
-	}
-	if got != want {
-		t.Errorf("legacy cold counters drifted from the recorded path:\ngot  %+v\nwant %+v", got, want)
-	}
 }
 
 // TestWriteBenchJSON appends a data point to BENCH_sweep.json when
@@ -251,31 +192,18 @@ func TestWriteBenchJSON(t *testing.T) {
 		{"SweepParallel", BenchmarkSweepParallel},
 		{"SweepWarm", BenchmarkSweepWarm},
 		{"SweepCold", BenchmarkSweepCold},
-		{"SweepPresolved", BenchmarkSweepPresolved},
 	} {
 		res := testing.Benchmark(bench.fn)
 		rec.Sweeps = append(rec.Sweeps, benchSweepEntry{bench.name, res.NsPerOp(), res.N})
 	}
 
 	// The counters are deterministic for the fixed spec, so they come
-	// from one additional serial sweep per start mode rather than the
-	// timed runs.
-	sys := benchSpec(t)
-	warmFig, err := Figure1(sys, Options{Parallel: 1}, nil)
+	// from one additional serial sweep rather than the timed runs.
+	fig, err := Figure1(benchSpec(t), Options{Parallel: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Solver = solverCounters(warmFig)
-	coldFig, err := Figure1(sys, legacyOptions(true), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := solverCounters(coldFig)
-	// The cold record stays pinned to the legacy path so its counter
-	// series remains comparable; drop the pricing tag to keep the JSON
-	// block byte-identical to pre-presolve records.
-	cold.Pricing = ""
-	rec.SolverCold = &cold
+	rec.Solver = solverCounters(fig)
 
 	recJSON, err := json.Marshal(&rec)
 	if err != nil {

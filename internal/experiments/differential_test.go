@@ -136,70 +136,3 @@ func boundWithPresolve(mode lp.PresolveMode) (b core.BoundOptions) {
 	b.LP.Presolve = mode
 	return b
 }
-
-// TestFactorBackendDifferential is the factorization layer's counterpart
-// of TestWarmColdDifferential: the basis factorization backend (dense
-// product-form etas vs sparse LU with Forrest-Tomlin updates) changes
-// solver effort, never results. It renders the full Figure-1 grid under
-// the automatic choice and with each backend forced, and demands
-// byte-identical TSV bodies and per-point objectives equal to 1e-9.
-func TestFactorBackendDifferential(t *testing.T) {
-	backends := []lp.FactorBackend{lp.FactorAuto, lp.FactorDense, lp.FactorSparse}
-	for _, kind := range []WorkloadKind{WEB, GROUP} {
-		t.Run(string(kind), func(t *testing.T) {
-			spec := tinySpec(kind)
-			spec.QoSPoints = []float64{0.7, 0.8, 0.9}
-			sys, err := Build(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			figs := make([]*Figure, len(backends))
-			tsvs := make([]string, len(backends))
-			for bi, backend := range backends {
-				opts := Options{Parallel: 4}
-				opts.Bound.LP.Factor = backend
-				fig, err := Figure1(sys, opts, nil)
-				if err != nil {
-					t.Fatalf("%v: %v", backend, err)
-				}
-				var buf bytes.Buffer
-				if err := fig.WriteTSV(&buf); err != nil {
-					t.Fatal(err)
-				}
-				figs[bi], tsvs[bi] = fig, buf.String()
-				if _, agg := fig.SolverStats(); agg.InitialFactorizations == 0 {
-					t.Errorf("%v recorded no initial factorizations: %+v", backend, agg)
-				}
-			}
-
-			base := stripSolverFooter(tsvs[0])
-			for bi := 1; bi < len(backends); bi++ {
-				if got := stripSolverFooter(tsvs[bi]); got != base {
-					t.Errorf("%v TSV body differs from %v:\n--- %v ---\n%s\n--- %v ---\n%s",
-						backends[bi], backends[0], backends[0], base, backends[bi], got)
-				}
-			}
-			for si, bs := range figs[0].Series {
-				for bi := 1; bi < len(backends); bi++ {
-					cs := figs[bi].Series[si]
-					for pi, bp := range bs.Points {
-						cp := cs.Points[pi]
-						if bp.Infeasible != cp.Infeasible {
-							t.Errorf("%s at %g: %v infeasible=%v, %v=%v",
-								bs.Name, bp.QoS, backends[0], bp.Infeasible, backends[bi], cp.Infeasible)
-							continue
-						}
-						if math.Abs(bp.Bound-cp.Bound) > 1e-9 {
-							t.Errorf("%s at %g: %v bound %.12g != %v bound %.12g",
-								bs.Name, bp.QoS, backends[0], bp.Bound, backends[bi], cp.Bound)
-						}
-						if cp.Feasible < cp.Bound-1e-6 {
-							t.Errorf("%s at %g: %v feasible %g below bound %g",
-								bs.Name, bp.QoS, backends[bi], cp.Feasible, cp.Bound)
-						}
-					}
-				}
-			}
-		})
-	}
-}

@@ -308,21 +308,22 @@ func (f *Figure) SolverStats() (cells int, agg lp.Stats) {
 }
 
 // boundPoint wraps LowerBound, mapping goal unattainability to an
-// infeasible point instead of an error. The returned basis (nil for
-// infeasible points) lets warm chains seed the next solve in a column.
-func boundPoint(inst *core.Instance, class *core.Class, tqos float64, opts core.BoundOptions) (Point, *lp.Basis, error) {
+// infeasible point instead of an error.
+func boundPoint(inst *core.Instance, class *core.Class, tqos float64, opts core.BoundOptions) (Point, error) {
 	b, err := inst.LowerBound(class, opts)
 	if err != nil {
 		if errors.Is(err, core.ErrGoalUnattainable) {
-			return Point{Class: class.Name, QoS: tqos, Infeasible: true}, nil, nil
+			return Point{Class: class.Name, QoS: tqos, Infeasible: true}, nil
 		}
-		return Point{}, nil, err
+		return Point{}, err
 	}
-	return Point{Class: class.Name, QoS: tqos, Bound: b.LPBound, Feasible: b.FeasibleCost, Stats: b.Stats}, b.Basis, nil
+	return Point{Class: class.Name, QoS: tqos, Bound: b.LPBound, Feasible: b.FeasibleCost, Stats: b.Stats}, nil
 }
 
-// reboundPoint is boundPoint for the compiled-problem path: the model was
-// already built and (re)bound to tqos, only the solve remains.
+// reboundPoint is boundPoint for the compiled-problem path of a warm
+// column: the model was already built and (re)bound to tqos, only the
+// solve remains. The returned basis (nil for infeasible points) seeds the
+// next solve in the column.
 func reboundPoint(comp *core.CompiledQoS, class *core.Class, tqos float64, opts core.BoundOptions) (Point, *lp.Basis, error) {
 	b, err := comp.LowerBound(opts)
 	if err != nil {

@@ -124,7 +124,7 @@ func boundFigure(sys *System, cache *instanceCache, classes []*core.Class, title
 				return err
 			}
 			start := time.Now()
-			p, _, err := boundPoint(inst, class, q, opts.boundOptions(ctx))
+			p, err := boundPoint(inst, class, q, opts.boundOptions(ctx))
 			if err != nil {
 				return fmt.Errorf("%s at %g: %w", class.Name, q, err)
 			}
@@ -215,7 +215,7 @@ func Figure2(sys *System, opts Options, progress Progress) (*Figure2Result, erro
 			return err
 		}
 		start := time.Now()
-		bp, _, err := boundPoint(inst, boundClass, q, opts.boundOptions(ctx))
+		bp, err := boundPoint(inst, boundClass, q, opts.boundOptions(ctx))
 		if err != nil {
 			return fmt.Errorf("%s at %g: %w", boundClass.Name, q, err)
 		}

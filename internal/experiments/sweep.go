@@ -37,16 +37,6 @@ type Options struct {
 	// cell solves from the crash basis and the grid fans out per cell;
 	// bounds are identical either way, only solver effort differs.
 	ColdStart bool
-	// NoRebind disables compiled-problem reuse along a warm column. By
-	// default each class column compiles its MC-PERF model once and moves
-	// only the QoS rows' right-hand sides between goals
-	// (core.CompiledQoS.Rebind); with NoRebind every cell rebuilds and
-	// recompiles the model from scratch, the pre-rebind behavior. The
-	// compiled model is identical to the fresh build at every attainable
-	// goal, so results match either way; only model-construction work
-	// differs. Irrelevant under ColdStart, whose per-cell grid never
-	// reuses anything.
-	NoRebind bool
 	// ColumnSolver, when non-nil, replaces the local solve of each class
 	// column: the sweep calls it once per class with the full ascending
 	// QoS grid and slots the returned points by grid index, exactly as the
@@ -215,7 +205,7 @@ func ascendingQoS(qos []float64) []int {
 // infeasible point keeps the chain's last good basis: on an ascending
 // ladder, tighter goals after a failure still warm-start from the last
 // feasible solve's basis.
-// By default the column also compiles its model only once: the first
+// The column also compiles its model only once: the first
 // attainable goal builds a core.CompiledQoS and later goals move just the
 // QoS right-hand sides (Rebind), skipping the per-cell model rebuild. An
 // unattainable rebind reports the cell infeasible and leaves the compiled
@@ -240,12 +230,6 @@ func solveColumn(ctx context.Context, cache *instanceCache, class *core.Class, q
 			err   error
 		)
 		switch {
-		case opts.NoRebind:
-			inst, ierr := cache.get(q)
-			if ierr != nil {
-				return ierr
-			}
-			p, basis, err = boundPoint(inst, class, q, bo)
 		case comp == nil:
 			// No compiled problem yet (first cell, or every goal so far
 			// was unattainable at build time): compile at this goal.

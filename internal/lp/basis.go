@@ -122,23 +122,3 @@ func (s *simplex) installCrashBasis() {
 		s.status[q] = basic
 	}
 }
-
-// repairBasis patches a singular warm basis in place: the slack of the
-// unpivoted row enters at the dependent position and the displaced column
-// rests at its crash-start bound. The slack column is a unit vector on a
-// row nothing in the basis pivoted, so the swap strictly reduces the
-// dependency count. It reports false when the slack is already basic —
-// then the dependency is not the simple column-versus-slack kind this
-// repair removes, and the caller falls back to the crash basis.
-func (s *simplex) repairBasis(sing *singularBasisError) bool {
-	slack := s.p.numStruct + sing.row
-	if sing.row < 0 || s.status[slack] == basic {
-		return false
-	}
-	leave := s.basis[sing.pos]
-	s.status[leave] = s.startStatus(leave)
-	s.x[leave] = s.startValue(leave)
-	s.basis[sing.pos] = slack
-	s.status[slack] = basic
-	return true
-}

@@ -6,13 +6,11 @@
 //   - A Model builder API for assembling LPs with bounded variables and
 //     range constraints (lo <= a*x <= hi).
 //   - A bounded-variable primal revised simplex solver with a two-phase
-//     start, Dantzig pricing with a Bland anti-cycling fallback, bound
-//     flips, and product-form-of-the-inverse (eta) basis updates with
-//     periodic refactorization.
-//   - Two interchangeable basis factorization backends: a dense LU with
-//     partial pivoting for small problems, and a sparse LU with
-//     Markowitz-style pivoting for the large, very sparse 0/±1 systems
-//     produced by the MC-PERF formulation.
+//     start, devex pricing with a Bland anti-cycling fallback, bound flips
+//     and a dual-simplex pass for warm restarts.
+//   - One basis factorization: a sparse LU with threshold pivoting for the
+//     very sparse 0/±1 systems produced by the MC-PERF formulation, kept
+//     current between refactorizations by Forrest-Tomlin updates.
 //   - A light presolve pass (empty/fixed column and row elimination).
 //
 // All MC-PERF matrices have entries in {-1, 0, +1} plus small integer

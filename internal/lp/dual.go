@@ -36,9 +36,6 @@ import (
 // by the primal machinery against fresh reduced costs, never assumed from
 // the dual pass.
 func (s *simplex) dualReoptimize() error {
-	if !s.devex {
-		return nil // the pass leans on the maintained reduced-cost cache
-	}
 	s.refreshD(false)
 	tol := s.opts.Tol
 

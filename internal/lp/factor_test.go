@@ -25,8 +25,8 @@ func randomBasisMatrix(rng *testRand, m int) *CSC {
 }
 
 // checkFtranBtran verifies B*x = b and B^T*y = c round-trips for a
-// factorizer against direct multiplication.
-func checkFtranBtran(t *testing.T, f Factorizer, a *CSC, basis []int, rng *testRand) {
+// factorization against direct multiplication.
+func checkFtranBtran(t *testing.T, f *SparseFactor, a *CSC, basis []int, rng *testRand) {
 	t.Helper()
 	m := len(basis)
 	if err := f.Factor(a, basis); err != nil {
@@ -70,19 +70,6 @@ func checkFtranBtran(t *testing.T, f Factorizer, a *CSC, basis []int, rng *testR
 	}
 }
 
-func TestDenseFactorRoundTrip(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
-		rng := newTestRand(seed)
-		m := 3 + rng.intn(40)
-		a := randomBasisMatrix(rng, m)
-		basis := make([]int, m)
-		for i := range basis {
-			basis[i] = i
-		}
-		checkFtranBtran(t, NewDenseFactor(0), a, basis, rng)
-	}
-}
-
 func TestSparseFactorRoundTrip(t *testing.T) {
 	for seed := uint64(30); seed <= 60; seed++ {
 		rng := newTestRand(seed)
@@ -97,8 +84,8 @@ func TestSparseFactorRoundTrip(t *testing.T) {
 }
 
 func TestFactorUpdateConsistency(t *testing.T) {
-	// After Update replacing a basis column, FTRAN must solve against the
-	// NEW basis. Cross-check dense and sparse backends on the same updates.
+	// After Update replacing a basis column, FTRAN and BTRAN must solve
+	// against the NEW basis, checked by direct multiplication.
 	for seed := uint64(70); seed <= 80; seed++ {
 		rng := newTestRand(seed)
 		m := 10 + rng.intn(30)
@@ -111,34 +98,33 @@ func TestFactorUpdateConsistency(t *testing.T) {
 			}
 		}
 		a := tb.ToCSC()
-		for _, fac := range []Factorizer{NewDenseFactor(0), NewSparseFactor(0)} {
-			basis := make([]int, m)
-			for i := range basis {
-				basis[i] = i
-			}
-			if err := fac.Factor(a, basis); err != nil {
-				t.Fatal(err)
-			}
-			// Replace a few columns with spares via Update.
-			for rep := 0; rep < 5; rep++ {
-				pos := rng.intn(m)
-				newCol := m + rng.intn(m)
-				w := make([]float64, m)
-				ri, rv := a.Col(newCol)
-				for k, r := range ri {
-					w[r] = rv[k]
-				}
-				fac.Ftran(w)
-				if math.Abs(w[pos]) < 1e-6 {
-					continue // replacement would make the basis singular
-				}
-				if _, err := fac.Update(w, pos); err != nil {
-					t.Fatalf("update: %v", err)
-				}
-				basis[pos] = newCol
-			}
-			checkFtranBtran(t, fac, a, basis, newTestRand(seed+1000))
+		fac := NewSparseFactor(0)
+		basis := make([]int, m)
+		for i := range basis {
+			basis[i] = i
 		}
+		if err := fac.Factor(a, basis); err != nil {
+			t.Fatal(err)
+		}
+		// Replace a few columns with spares via Update.
+		for rep := 0; rep < 5; rep++ {
+			pos := rng.intn(m)
+			newCol := m + rng.intn(m)
+			w := make([]float64, m)
+			ri, rv := a.Col(newCol)
+			for k, r := range ri {
+				w[r] = rv[k]
+			}
+			fac.Ftran(w)
+			if math.Abs(w[pos]) < 1e-6 {
+				continue // replacement would make the basis singular
+			}
+			if _, err := fac.Update(w, pos); err != nil {
+				t.Fatalf("update: %v", err)
+			}
+			basis[pos] = newCol
+		}
+		checkFtranBtran(t, fac, a, basis, newTestRand(seed+1000))
 	}
 }
 
@@ -148,11 +134,8 @@ func TestSingularBasisRejected(t *testing.T) {
 	tb.Add(0, 1, 2) // second column parallel to first: singular
 	a := tb.ToCSC()
 	basis := []int{0, 1}
-	if err := NewDenseFactor(0).Factor(a, basis); err == nil {
-		t.Error("dense factor accepted a singular basis")
-	}
 	if err := NewSparseFactor(0).Factor(a, basis); err == nil {
-		t.Error("sparse factor accepted a singular basis")
+		t.Error("factorization accepted a singular basis")
 	}
 }
 
@@ -229,13 +212,12 @@ func TestPartialPricingMatchesFull(t *testing.T) {
 	}
 }
 
-// benchBackendCycle drives one backend through the simplex's per-iteration
-// factorization traffic — FTRAN of an entering column, a BTRAN (the devex
-// pivot row), and the basis update, refactorizing when the backend asks —
-// on the well-conditioned twin-column matrix of the long-chain test. The
-// dense/sparse crossover (the Options.DenseLimit default) is chosen where
-// the sparse backend overtakes the dense one on this cycle.
-func benchBackendCycle(b *testing.B, f Factorizer, m int) {
+// benchFactorCycle drives the factorization through the simplex's
+// per-iteration traffic — FTRAN of an entering column, a BTRAN (the devex
+// pivot row), and the basis update, refactorizing when the update asks —
+// on the well-conditioned twin-column matrix of the long-chain test.
+func benchFactorCycle(b *testing.B, m int) {
+	f := NewSparseFactor(0)
 	rng := newTestRand(42)
 	tb := NewTripletBuilder(m, 2*m)
 	for j := 0; j < 2*m; j++ {
@@ -296,11 +278,8 @@ func benchBackendCycle(b *testing.B, f Factorizer, m int) {
 
 func BenchmarkFactorCycle(b *testing.B) {
 	for _, m := range []int{10, 20, 30, 50, 75, 100, 200, 400} {
-		b.Run(fmt.Sprintf("dense/m=%d", m), func(b *testing.B) {
-			benchBackendCycle(b, NewDenseFactor(0), m)
-		})
-		b.Run(fmt.Sprintf("sparse/m=%d", m), func(b *testing.B) {
-			benchBackendCycle(b, NewSparseFactor(0), m)
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			benchFactorCycle(b, m)
 		})
 	}
 }

@@ -116,6 +116,63 @@ func checkPrimalFeasible(t *testing.T, m *Model, sol *Solution) {
 	}
 }
 
+// checkWeakDuality recomputes the dual bound of an optimal solve from the
+// model's own variable and row data, sharing no code with the solver. For
+// row duals y and reduced costs d = c - A^T y the objective splits as
+// c'x = d'x + y'(Ax), so every y yields a bound: each term takes the
+// variable or row bound that minimizes it (maximizes it under Maximize).
+// Correct optimal duals make that bound equal the objective; wrong duals
+// can only loosen it. A coefficient that needs an infinite bound leaves no
+// finite bound and fails the check, unless it is round-off on a zero.
+func checkWeakDuality(t *testing.T, m *Model, sol *Solution) {
+	t.Helper()
+	if len(sol.Duals) != len(m.cons) {
+		t.Fatalf("%d duals for %d rows", len(sol.Duals), len(m.cons))
+	}
+	sign := 1.0
+	if m.sense == Maximize {
+		sign = -1
+	}
+	d := make([]float64, len(m.vars))
+	mag := make([]float64, len(m.vars)) // |c_j| + sum |y_i a_ij|
+	for j, v := range m.vars {
+		d[j], mag[j] = v.obj, math.Abs(v.obj)
+	}
+	for i, c := range m.cons {
+		for _, cf := range c.coefs {
+			d[cf.Var] -= sol.Duals[i] * cf.Value
+			mag[cf.Var] += math.Abs(sol.Duals[i] * cf.Value)
+		}
+	}
+	bound, scale := 0.0, 1+math.Abs(sol.Objective)
+	term := func(what string, k int, g, gmag, lo, hi float64) {
+		b := lo
+		switch {
+		case sign*g < 0:
+			b = hi
+		case g == 0:
+			return
+		}
+		if math.IsInf(b, 0) {
+			if math.Abs(g) <= 1e-9*(1+gmag) {
+				return // round-off on a zero coefficient
+			}
+			t.Fatalf("%s %d: dual coefficient %g needs an infinite bound", what, k, g)
+		}
+		bound += g * b
+		scale += math.Abs(g * b)
+	}
+	for j, v := range m.vars {
+		term("var", j, d[j], mag[j], v.lo, v.hi)
+	}
+	for i, c := range m.cons {
+		term("row", i, sol.Duals[i], 0, c.lo, c.hi)
+	}
+	if math.Abs(bound-sol.Objective) > fuzzTol*scale {
+		t.Fatalf("dual bound %g != objective %g (duals %v)", bound, sol.Objective, sol.Duals)
+	}
+}
+
 // FuzzSolve throws arbitrary small LPs at the solver: it must never
 // panic, and whenever it reports success the returned point must satisfy
 // every bound and constraint within tolerance. Every instance is solved
@@ -123,7 +180,9 @@ func checkPrimalFeasible(t *testing.T, m *Model, sol *Solution) {
 // classification and optimum. A successful solve is then re-solved warm
 // from its own (postsolved) basis, which must reproduce the optimal
 // value — this drives the warm-start validation, repair and presolve
-// basis-mapping paths with adversarial bases-to-problem pairings.
+// basis-mapping paths with adversarial bases-to-problem pairings. The
+// solve without presolve must also return duals whose weak-duality bound
+// reproduces its objective.
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 1, 0x10, 0x20, 3, 8, 0xF0, 0x08, 1, 4, 8, 16, 0x18, 0x28, 2})
@@ -144,6 +203,9 @@ func FuzzSolve(f *testing.F) {
 		}
 		if definite(err) && definite(perr) && (err == nil) != (perr == nil) {
 			t.Fatalf("presolve classification mismatch: presolved err=%v, plain err=%v", err, perr)
+		}
+		if perr == nil {
+			checkWeakDuality(t, m, plain)
 		}
 		if err == nil && perr == nil {
 			mass := 1 + math.Abs(sol.Objective)

@@ -1,48 +1,11 @@
 package lp
 
-// PricingRule selects the simplex entering-column (pricing) rule.
-type PricingRule int
-
-// Available pricing rules. The zero value resolves to the default rule so
-// a zero Options struct always gets the recommended configuration.
-const (
-	// PricingAuto resolves to the default rule (currently devex).
-	PricingAuto PricingRule = iota
-	// PricingDevex prices with reference-framework devex weights: each
-	// candidate's reduced cost is normalized by an evolving estimate of
-	// its steepest-edge norm, which steers the solver away from the short
-	// degenerate steps that plain Dantzig pricing is drawn to.
-	PricingDevex
-	// PricingDantzig restores the classic rule: largest reduced cost over
-	// a rotating partial-pricing window (Options.SectionSize).
-	PricingDantzig
-)
-
-// String names the rule as it appears in Stats.PricingRule and reports.
-func (r PricingRule) String() string {
-	switch r {
-	case PricingDevex:
-		return "devex"
-	case PricingDantzig:
-		return "dantzig"
-	default:
-		return "auto"
-	}
-}
-
-// ParsePricingRule maps a command-line flag value onto a rule.
-func ParsePricingRule(s string) (PricingRule, bool) {
-	switch s {
-	case "", "auto":
-		return PricingAuto, true
-	case "devex":
-		return PricingDevex, true
-	case "dantzig":
-		return PricingDantzig, true
-	default:
-		return PricingAuto, false
-	}
-}
+// The simplex prices entering columns with reference-framework devex
+// weights: each candidate's reduced cost is normalized by an evolving
+// estimate of its steepest-edge norm, which steers the solver away from the
+// short degenerate steps that plain largest-reduced-cost pricing is drawn
+// to. A long run of degenerate pivots switches to Bland's rule
+// (Options.BlandAfter) until a pivot makes progress again.
 
 // devexResetLimit caps the devex weights: when any weight outgrows it the
 // reference framework has drifted too far and all weights reset to 1.
@@ -55,8 +18,7 @@ const devexResetLimit = 1e12
 // floating-point drift a long pivot chain could otherwise accumulate.
 const devexRefreshEvery = 100
 
-// initDevex allocates and resets the devex state. Called once per solve
-// when the devex rule is active.
+// initDevex allocates and resets the devex state. Called once per solve.
 func (s *simplex) initDevex() {
 	s.gamma = make([]float64, s.n)
 	s.beta = make([]float64, s.m)
@@ -128,10 +90,10 @@ func (s *simplex) resetDevex() {
 // devexPrice selects the entering column by the largest d_j^2 / gamma_j
 // ratio. The ratio needs no fresh duals — d_j comes from the maintained
 // cache — so the only per-column work is the ranking itself, and partial
-// pricing keeps even that off the hot path: like the Dantzig rule it
-// scans a rotating window of SectionSize columns and takes the best
-// eligible column of the first non-empty window, sweeping the whole
-// matrix only when every window comes up dry. Optimality is unaffected —
+// pricing keeps even that off the hot path: it scans a rotating window of
+// SectionSize columns and takes the best eligible column of the first
+// non-empty window, sweeping the whole matrix only when every window comes
+// up dry. Optimality is unaffected —
 // "no entering column" is only ever reported after a full dry sweep (and
 // loop() re-certifies that against freshly rebuilt reduced costs).
 func (s *simplex) devexPrice(phase1 bool) (entering int, dir float64) {

@@ -1,71 +1,21 @@
 package lp
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
-func TestParsePricingRule(t *testing.T) {
-	cases := []struct {
-		in   string
-		want PricingRule
-		ok   bool
-	}{
-		{"", PricingAuto, true},
-		{"auto", PricingAuto, true},
-		{"devex", PricingDevex, true},
-		{"dantzig", PricingDantzig, true},
-		{"steepest", PricingAuto, false},
-	}
-	for _, c := range cases {
-		got, ok := ParsePricingRule(c.in)
-		if got != c.want || ok != c.ok {
-			t.Errorf("ParsePricingRule(%q) = (%v, %v), want (%v, %v)", c.in, got, ok, c.want, c.ok)
-		}
-	}
-}
-
-// TestPricingRulesAgree solves the same random instances under both
-// pricing rules: the paths differ but the optimum must not.
-func TestPricingRulesAgree(t *testing.T) {
-	for seed := uint64(1); seed <= 25; seed++ {
-		rng := newTestRand(seed + 100)
-		m := randLP(rng, 5+rng.intn(25), 5+rng.intn(25))
-		devex, derr := SolveModel(m, Options{Pricing: PricingDevex})
-		dant, aerr := SolveModel(m, Options{Pricing: PricingDantzig})
-		if (derr == nil) != (aerr == nil) {
-			t.Fatalf("seed %d: classification mismatch: devex err=%v, dantzig err=%v", seed, derr, aerr)
-		}
-		if derr != nil {
-			continue
-		}
-		scale := 1 + math.Abs(dant.Objective)
-		if d := math.Abs(devex.Objective - dant.Objective); d > 1e-6*scale {
-			t.Fatalf("seed %d: devex optimum %g != dantzig optimum %g", seed, devex.Objective, dant.Objective)
-		}
-		verifyOptimal(t, m, devex)
-	}
-}
-
-// TestPricingRuleStamp checks that solves report the rule that actually
-// ran, including the zero-value default resolving to devex.
+// TestPricingRuleStamp checks that every solve, presolved or not, stamps
+// the devex rule into Stats.PricingRule: report footers print the name.
 func TestPricingRuleStamp(t *testing.T) {
 	m := NewModel(Minimize)
 	x := m.AddVar(0, 10, 1, "x")
 	m.AddGE([]Coef{{x, 1}}, 2, "")
-	def, err := SolveModel(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Stats.PricingRule != "devex" {
-		t.Errorf("default pricing rule = %q, want devex", def.Stats.PricingRule)
-	}
-	dant, err := SolveModel(m, Options{Pricing: PricingDantzig})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dant.Stats.PricingRule != "dantzig" {
-		t.Errorf("pricing rule = %q, want dantzig", dant.Stats.PricingRule)
+	for _, mode := range []PresolveMode{PresolveOn, PresolveOff} {
+		sol, err := SolveModel(m, Options{Presolve: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Stats.PricingRule != "devex" {
+			t.Errorf("presolve mode %v: pricing rule = %q, want devex", mode, sol.Stats.PricingRule)
+		}
 	}
 }
 

@@ -29,25 +29,10 @@ type Options struct {
 	// BlandAfter is the number of consecutive degenerate iterations after
 	// which the solver switches to Bland's rule (0 = automatic).
 	BlandAfter int
-	// DenseLimit is the basis size up to which the dense factorization is
-	// used when the backend choice is automatic (0 = automatic, currently
-	// 25: BenchmarkFactorCycle puts the dense/sparse crossover near 25
-	// rows on the simplex's per-iteration factorization traffic, with the
-	// sparse backend ahead by orders of magnitude at a few hundred rows).
-	DenseLimit int
-	// Factor selects the factorization backend (zero value = automatic:
-	// dense up to DenseLimit rows, sparse beyond). Being a value it is safe
-	// to share one Options struct across concurrent solves.
-	Factor FactorBackend
-	// Factorizer overrides the backend choice with a caller-provided
-	// instance. It is stateful: never share an Options struct carrying a
-	// Factorizer across concurrent solves. Prefer Factor.
-	Factorizer Factorizer
-	// SectionSize is the number of columns scanned per iteration by the
-	// partial-pricing rule (0 = automatic; negative = full Dantzig
-	// pricing). Partial pricing scans a rotating window and picks the best
-	// eligible column in it, falling back to a full sweep before declaring
-	// optimality.
+	// SectionSize is the number of columns scanned per iteration by
+	// partial pricing (0 = automatic; negative = full pricing). Partial
+	// pricing scans a rotating window and picks the best eligible column in
+	// it, falling back to a full sweep before declaring optimality.
 	SectionSize int
 	// Start, when non-nil, seeds the solve with a prior basis (warm
 	// start). The snapshot is validated against the problem shape and for
@@ -55,10 +40,6 @@ type Options struct {
 	// to the crash basis, so a stale Start can cost speed but never
 	// correctness. Stats.WarmSolves/ColdSolves report which path ran.
 	Start *Basis
-	// Pricing selects the entering-column rule (zero value = devex).
-	// PricingDantzig restores the pre-devex rotating-window partial
-	// pricing exactly.
-	Pricing PricingRule
 	// Presolve controls the presolve/postsolve layer (zero value = on).
 	// PresolveOff solves the problem as given, exactly as before the
 	// layer existed.
@@ -78,9 +59,6 @@ func (o Options) withDefaults(m, n int) Options {
 	if o.BlandAfter == 0 {
 		o.BlandAfter = 1000
 	}
-	if o.DenseLimit == 0 {
-		o.DenseLimit = 25
-	}
 	if o.SectionSize == 0 {
 		o.SectionSize = 2000
 		if n < 4*o.SectionSize {
@@ -89,9 +67,6 @@ func (o Options) withDefaults(m, n int) Options {
 	}
 	if o.CheckEvery == 0 {
 		o.CheckEvery = 64
-	}
-	if o.Pricing == PricingAuto {
-		o.Pricing = PricingDevex
 	}
 	return o
 }
@@ -129,13 +104,13 @@ type simplex struct {
 	opts Options
 	m, n int // rows, total columns (struct + slack)
 
-	fac    Factorizer
+	fac    *SparseFactor
 	status []colStatus
 	basis  []int     // column basic in each row position
 	x      []float64 // current value of every column
 	xB     []float64 // values of basic columns (mirror of x at basis positions)
 
-	cB   []float64 // basic cost vector for the current phase
+	cB []float64 // basic cost vector for the current phase
 	// comp weights the true objective into the phase-1 cost vector
 	// (cB[i] = band + comp*obj): feasibility restoration then prefers, among
 	// equally infeasibility-reducing pivots, the ones that do not degrade
@@ -148,8 +123,8 @@ type simplex struct {
 	// store for the flip detection to compare against.
 	p1band []float64
 	y      []float64 // duals scratch
-	w    []float64 // FTRAN image of the entering column
-	rhs0 []float64 // scratch for -N*xN
+	w      []float64 // FTRAN image of the entering column
+	rhs0   []float64 // scratch for -N*xN
 
 	iter       int
 	degenerate int
@@ -157,7 +132,6 @@ type simplex struct {
 	priceStart int
 	warm       bool // solve was seeded from Options.Start
 
-	devex bool      // devex pricing active
 	gamma []float64 // devex weight per column
 	beta  []float64 // scratch for the pivot row of B^-1
 
@@ -218,23 +192,9 @@ func newSimplex(p *Problem, opts Options) *simplex {
 		y:      make([]float64, m),
 		w:      make([]float64, m),
 		rhs0:   make([]float64, m),
+		fac:    NewSparseFactor(0),
 	}
-	switch {
-	case opts.Factorizer != nil:
-		s.fac = opts.Factorizer
-	case opts.Factor == FactorDense:
-		s.fac = NewDenseFactor(0)
-	case opts.Factor == FactorSparse:
-		s.fac = NewSparseFactor(0)
-	case m <= opts.DenseLimit:
-		s.fac = NewDenseFactor(0)
-	default:
-		s.fac = NewSparseFactor(0)
-	}
-	if opts.Pricing == PricingDevex {
-		s.devex = true
-		s.initDevex()
-	}
+	s.initDevex()
 	return s
 }
 
@@ -257,41 +217,19 @@ func (s *simplex) solve() (*Solution, error) {
 	// but factorizes singular — the usual fate of a basis carried across
 	// a coefficient change, where two basic columns that were independent
 	// under the old values have become parallel — is repaired rather than
-	// discarded: the factorization reports the dependent position and an
-	// unpivoted row, and swapping that row's slack into the position
-	// removes one dependency per retry.
+	// discarded: the factorization swaps a nonbasic slack into each
+	// dependent position as it goes and reports the swaps; the displaced
+	// columns rest at their crash bounds.
 	if b := s.opts.Start; b.compatibleWith(s.p) {
 		s.installBasis(b)
-		if rf, ok := s.fac.(repairingFactorizer); ok {
-			// Single-pass repair: the factorization swaps a nonbasic slack
-			// into each dependent position as it goes and reports the
-			// swaps; the displaced columns rest at their crash bounds.
-			swaps, err := rf.FactorRepair(s.p.cols, s.basis)
-			for _, sw := range swaps {
-				s.status[sw.old] = s.startStatus(sw.old)
-				s.x[sw.old] = s.startValue(sw.old)
-				s.status[s.basis[sw.pos]] = basic
-				s.stats.BasisRepairs++
-			}
-			s.warm = err == nil
-		} else {
-			// Each repair consumes one distinct nonbasic slack, so m retries
-			// bound the loop; repairBasis itself reports exhaustion earlier.
-			// Factorization fails at the first dependent column in its
-			// elimination order, so failed attempts stay cheap.
-			for try := 0; ; try++ {
-				err := s.fac.Factor(s.p.cols, s.basis)
-				if err == nil {
-					s.warm = true
-					break
-				}
-				var sing *singularBasisError
-				if try >= s.m || !errors.As(err, &sing) || !s.repairBasis(sing) {
-					break
-				}
-				s.stats.BasisRepairs++
-			}
+		swaps, err := s.fac.FactorRepair(s.p.cols, s.basis)
+		for _, sw := range swaps {
+			s.status[sw.old] = s.startStatus(sw.old)
+			s.x[sw.old] = s.startValue(sw.old)
+			s.status[s.basis[sw.pos]] = basic
+			s.stats.BasisRepairs++
 		}
+		s.warm = err == nil
 	}
 	if !s.warm {
 		s.installCrashBasis()
@@ -401,7 +339,7 @@ func (s *simplex) solveUnconstrained() (*Solution, error) {
 func (s *simplex) finalizeStats() {
 	s.stats.Iterations = s.iter
 	s.stats.Wall = time.Since(s.start)
-	s.stats.PricingRule = s.opts.Pricing.String()
+	s.stats.PricingRule = "devex"
 	if s.warm {
 		s.stats.WarmSolves = 1
 		s.stats.WarmIterations = s.iter
@@ -553,12 +491,7 @@ func (s *simplex) score(j int, phase1 bool) (score, dir float64) {
 	if s.anyShun && s.shunStamp[j] == s.shunGen {
 		return 0, 0
 	}
-	var d float64
-	if s.devex {
-		d = s.d[j] // cache is fresh: loop() rebuilds it before pricing
-	} else {
-		d = s.reducedCost(j, phase1)
-	}
+	d := s.d[j] // cache is fresh: loop() rebuilds it before pricing
 	switch st {
 	case nonbasicLower:
 		return -d, 1
@@ -572,10 +505,9 @@ func (s *simplex) score(j int, phase1 bool) (score, dir float64) {
 	}
 }
 
-// price selects the entering column, returning (-1, 0) at optimality. With
-// partial pricing it scans a rotating window of SectionSize columns and
-// returns the best eligible column of the first non-empty window; Bland's
-// rule and small problems use a full sweep.
+// price selects the entering column, returning (-1, 0) at optimality.
+// Bland's rule takes the first eligible column of a full sweep; otherwise
+// devexPrice ranks the candidates.
 func (s *simplex) price(phase1 bool) (entering int, dir float64) {
 	tol := s.opts.Tol
 	if s.bland {
@@ -588,34 +520,7 @@ func (s *simplex) price(phase1 bool) (entering int, dir float64) {
 		s.stats.PricingScans += int64(s.n)
 		return -1, 0
 	}
-	if s.devex {
-		return s.devexPrice(phase1)
-	}
-	section := s.opts.SectionSize
-	if section < 0 {
-		section = s.n
-	}
-	bestJ, bestScore, bestDir := -1, tol, 0.0
-	scanned := 0
-	j := s.priceStart % s.n
-	for scanned < s.n {
-		if sc, dj := s.score(j, phase1); sc > bestScore {
-			bestJ, bestScore, bestDir = j, sc, dj
-		}
-		scanned++
-		j++
-		if j == s.n {
-			j = 0
-		}
-		if scanned%section == 0 && bestJ >= 0 {
-			break
-		}
-	}
-	if bestJ >= 0 {
-		s.priceStart = j
-	}
-	s.stats.PricingScans += int64(scanned)
-	return bestJ, bestDir
+	return s.devexPrice(phase1)
 }
 
 // ratioEvent describes a blocking event of the ratio test.
@@ -702,26 +607,16 @@ func (s *simplex) loop(phase1 bool) error {
 		if phase1 && s.infeasibility() <= s.opts.Tol {
 			return nil
 		}
+		// The Bland fallback also prices through the cache (score());
+		// refresh every iteration while it is active so anti-cycling sees
+		// exact signs.
 		refreshed := false
-		if s.devex {
-			// The Bland fallback also prices through the cache (score());
-			// refresh every iteration while it is active so anti-cycling
-			// sees exact signs.
-			if s.dDirty || s.bland || s.dAge >= devexRefreshEvery {
-				s.refreshD(phase1)
-				refreshed = true
-			}
-		} else {
-			if phase1 {
-				s.phase1Costs()
-			} else {
-				s.phase2Costs()
-			}
-			copy(s.y, s.cB)
-			s.fac.Btran(s.y)
+		if s.dDirty || s.bland || s.dAge >= devexRefreshEvery {
+			s.refreshD(phase1)
+			refreshed = true
 		}
 		q, dir := s.price(phase1)
-		if q < 0 && s.devex && !refreshed {
+		if q < 0 && !refreshed {
 			// Optimality must be certified against exact reduced costs, not
 			// the incrementally drifted cache.
 			s.refreshD(phase1)
@@ -785,7 +680,7 @@ func (s *simplex) loop(phase1 bool) error {
 		// leaving column's cost drop to 0 enters the cache through d[leave]
 		// directly (leaveShift below), not through the duals.
 		step := dir * ev.t
-		trackFlips := phase1 && s.devex && !s.dDirty
+		trackFlips := phase1 && !s.dDirty
 		s.flipPos, s.flipDelta = s.flipPos[:0], s.flipDelta[:0]
 		tol := s.opts.Tol
 		for i := range s.xB {
@@ -870,11 +765,9 @@ func (s *simplex) loop(phase1 bool) error {
 			s.cB[ev.pos] = band + s.comp*s.p.obj[q]
 		}
 
-		if s.devex {
-			// Must run against the pre-pivot factorization: the weight
-			// update needs the outgoing basis inverse's pivot row.
-			s.devexUpdate(q, ev.pos, leave, leaveShift)
-		}
+		// Must run against the pre-pivot factorization: the weight update
+		// needs the outgoing basis inverse's pivot row.
+		s.devexUpdate(q, ev.pos, leave, leaveShift)
 		refactor, err := s.fac.Update(s.w, ev.pos)
 		if err != nil {
 			// A numerically unusable pivot is recoverable: refactorizing
@@ -924,7 +817,7 @@ func (s *simplex) loop(phase1 bool) error {
 		// Fold this iteration's phase-1 cost flips into the cache. Runs
 		// against the post-pivot factorization (Update absorbed the pivot);
 		// a refactorization marks the cache dirty and skips this.
-		if s.devex && !s.dDirty && len(s.flipPos) > 0 {
+		if !s.dDirty && len(s.flipPos) > 0 {
 			s.applyCostCorrection()
 		}
 		if s.anyShun {

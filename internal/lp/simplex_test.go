@@ -366,39 +366,35 @@ func TestRandomLPsCertified(t *testing.T) {
 	}
 }
 
-func TestDenseVsSparseBackends(t *testing.T) {
-	for seed := uint64(100); seed < 130; seed++ {
-		rng := newTestRand(seed)
-		m := randLP(rng, 10+rng.intn(30), 10+rng.intn(40))
-		solD, err := SolveModel(m, Options{Factorizer: NewDenseFactor(0)})
-		if err != nil {
-			t.Fatalf("seed %d dense: %v", seed, err)
-		}
-		solS, err := SolveModel(m, Options{Factorizer: NewSparseFactor(0)})
-		if err != nil {
-			t.Fatalf("seed %d sparse: %v", seed, err)
-		}
-		diff := math.Abs(solD.Objective - solS.Objective)
-		if diff > 1e-5*math.Max(1, math.Abs(solD.Objective)) {
-			t.Errorf("seed %d: dense objective %g != sparse objective %g", seed, solD.Objective, solS.Objective)
-		}
-		verifyOptimal(t, m, solS)
+// solveWithUpdateBudget solves m without presolve on a factorization that
+// requests a refactorization after every maxEtas basis updates.
+func solveWithUpdateBudget(t *testing.T, m *Model, maxEtas int) *Solution {
+	t.Helper()
+	p, err := m.Compile()
+	if err != nil {
+		t.Fatal(err)
 	}
+	s := newSimplex(p, Options{})
+	s.fac = NewSparseFactor(maxEtas)
+	sol, err := s.solve()
+	if err != nil {
+		t.Fatalf("update budget %d: %v", maxEtas, err)
+	}
+	return sol
 }
 
 func TestFrequentRefactorization(t *testing.T) {
-	// Force an eta-file limit of 1 so every pivot refactorizes; the result
+	// Force an update budget of 1 so every pivot refactorizes; the result
 	// must be identical to the default configuration.
 	rng := newTestRand(7)
 	m := randLP(rng, 20, 25)
-	solA, err := SolveModel(m, Options{Factorizer: NewDenseFactor(1)})
-	if err != nil {
-		t.Fatal(err)
+	solA := solveWithUpdateBudget(t, m, 1)
+	solB := solveWithUpdateBudget(t, m, sparseMaxEtas)
+	if solA.Stats.Refactorizations <= solB.Stats.Refactorizations {
+		t.Errorf("budget 1 refactorized %d times, default %d: the budget was not honored",
+			solA.Stats.Refactorizations, solB.Stats.Refactorizations)
 	}
-	solB, err := SolveModel(m, Options{Factorizer: NewDenseFactor(500)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	verifyOptimal(t, m, solA)
 	if math.Abs(solA.Objective-solB.Objective) > 1e-6 {
 		t.Errorf("objectives differ with refactorization frequency: %g vs %g", solA.Objective, solB.Objective)
 	}

@@ -1,12 +1,13 @@
 package lp
 
-// SparseFactor is the sparse-LU basis factorization backend with
-// Forrest-Tomlin basis updates. It is the default for bases beyond
-// Options.DenseLimit rows.
+// SparseFactor is the simplex's basis factorization: a sparse LU with
+// Forrest-Tomlin basis updates. The simplex uses it through FTRAN (solve
+// B*x = b), BTRAN (solve B^T*y = c) and an incremental Update when one
+// basis column is replaced.
 //
 // A pivot does not append a product-form eta over the whole basis inverse
-// (the old scheme, whose etas carry the dense FTRAN image of the entering
-// column and make every later solve slower). Instead the stored U factor is
+// (whose etas carry the dense FTRAN image of the entering column and make
+// every later solve slower). Instead the stored U factor is
 // modified in place: the leaving column of U is replaced by the partial
 // FTRAN image of the entering column, the replaced position is rotated to
 // the end of U's logical column order, and the row spike this leaves behind
@@ -32,8 +33,6 @@ type SparseFactor struct {
 	lastOK  bool
 }
 
-var _ Factorizer = (*SparseFactor)(nil)
-
 // NewSparseFactor returns a sparse factorization backend. maxEtas bounds the
 // number of Forrest-Tomlin updates absorbed before a refactorization is
 // requested (0 means the shared default, sparseMaxEtas).
@@ -44,7 +43,8 @@ func NewSparseFactor(maxEtas int) *SparseFactor {
 	return &SparseFactor{maxEtas: maxEtas, pivTol: factorPivTol}
 }
 
-// Factor implements Factorizer.
+// Factor (re)factorizes the basis given by the m column indices in basis,
+// drawing columns from the problem matrix a.
 func (s *SparseFactor) Factor(a *CSC, basis []int) error {
 	lu, _, err := luFactor(a, basis, s.pivTol, false)
 	if err != nil {
@@ -54,11 +54,11 @@ func (s *SparseFactor) Factor(a *CSC, basis []int) error {
 	return nil
 }
 
-// FactorRepair implements repairingFactorizer: one factorization pass that
-// swaps a nonbasic slack into each dependent basis position as elimination
-// reaches it, instead of failing so the caller can retry. basis is patched
-// in place and the swaps are reported so the caller can rebook the
-// displaced columns.
+// FactorRepair is Factor for warm starts whose carried basis may be
+// singular: one factorization pass that swaps a nonbasic slack into each
+// dependent basis position as elimination reaches it, instead of failing.
+// basis is patched in place and the swaps are reported so the caller can
+// rebook the displaced columns at a bound.
 func (s *SparseFactor) FactorRepair(a *CSC, basis []int) ([]basisSwap, error) {
 	lu, swaps, err := luFactor(a, basis, s.pivTol, true)
 	if err != nil {
@@ -79,7 +79,7 @@ func (s *SparseFactor) install(lu *sparseLU, m int) {
 	s.lastOK = false
 }
 
-// Ftran implements Factorizer: x = B^-1 b in place. The solve runs in
+// Ftran solves B*x = b in place (b has length m). The solve runs in
 // factor coordinates — permute, L solve, Forrest-Tomlin row etas, ordered
 // U solve, permute back — and records the result's nonzero pattern (in
 // factor coordinates) for the Update that may follow.
@@ -105,7 +105,7 @@ func (s *SparseFactor) Ftran(b []float64) {
 	s.lastOK = true
 }
 
-// Btran implements Factorizer: y = B^-T c in place.
+// Btran solves B^T*y = c in place (c has length m).
 func (s *SparseFactor) Btran(c []float64) {
 	lu, m := s.lu, s.m
 	tmp := s.btmp[:m]
@@ -154,12 +154,15 @@ func (s *SparseFactor) gatherImage(w []float64, t int) ([]int32, []float64) {
 	return pat, val
 }
 
-// Update implements Factorizer with a Forrest-Tomlin update. On an
+// Update replaces basis position pos with a column whose FTRAN image
+// (B^-1 * a_q) is w — the w most recently produced by Ftran, which lets the
+// update reuse that solve's sparsity pattern instead of rescanning all of
+// w — by a Forrest-Tomlin update. It returns refactor=true when the update
+// budget or U's fill growth makes a fresh Factor call worthwhile. On an
 // ErrNumerical return the stored factorization is invalid (the update is
 // applied halfway) and the caller must Factor before the next solve — the
 // simplex refactorizes on every Update error, so this costs nothing extra.
 func (s *SparseFactor) Update(w []float64, pos int) (bool, error) {
-	// Pivot acceptance: the same test and constant as the dense backend.
 	if abs(w[pos]) < s.pivTol {
 		return true, ErrNumerical
 	}
@@ -239,10 +242,10 @@ type ftU struct {
 	nnz0    int // off-diagonal entry count at the last refactorization
 
 	// scratch (all length m, stamped)
-	acc    []float64 // utilde accumulator
-	aflag  []int32
-	amark  int32
-	upat   []int32
+	acc   []float64 // utilde accumulator
+	aflag []int32
+	amark int32
+	upat  []int32
 	zacc  []float64 // spike / multiplier accumulator
 	zflag []int32
 	zmark int32

@@ -125,7 +125,7 @@ func luFactor(a *CSC, cols []int, pivTol float64, repair bool) (*sparseLU, []bas
 			}
 		}
 		if ipiv < 0 || amax <= pivTol {
-			r := repairRow(a, cols, f.pinv, nil, 0)
+			r := repairRow(a, cols, f.pinv)
 			if !repair || r < 0 {
 				return nil, swaps, &singularBasisError{pos: f.q[k], row: r}
 			}
@@ -288,12 +288,11 @@ func (f *sparseLU) ltsolve(x []float64) {
 // repairRow picks the constraint row a singular-basis repair should patch
 // with its slack: one no column has pivoted, whose slack is not itself in
 // the basis (a basic slack may still pivot its row later in the
-// elimination, so handing it out would repair nothing). Unpivoted rows
-// come either from a pinv map (pinv[i] < 0, sparse path) or from an
-// explicit row list (dense path, rows[from:] of the permutation). Returns
-// -1 when every unpivoted row's slack is basic — then the dependency is
-// not the column-versus-slack kind and the repair gives up.
-func repairRow(a *CSC, cols []int, pinv []int, rows []int, from int) int {
+// elimination, so handing it out would repair nothing). A row is
+// unpivoted when pinv[i] < 0. Returns -1 when every unpivoted row's slack
+// is basic — then the dependency is not the column-versus-slack kind and
+// the repair gives up.
+func repairRow(a *CSC, cols []int, pinv []int) int {
 	m := len(cols)
 	nStruct := a.Cols - m
 	slackBasic := make([]bool, m)
@@ -302,16 +301,8 @@ func repairRow(a *CSC, cols []int, pinv []int, rows []int, from int) int {
 			slackBasic[j-nStruct] = true
 		}
 	}
-	if pinv != nil {
-		for i, p := range pinv {
-			if p < 0 && !slackBasic[i] {
-				return i
-			}
-		}
-		return -1
-	}
-	for _, i := range rows[from:] {
-		if !slackBasic[i] {
+	for i, p := range pinv {
+		if p < 0 && !slackBasic[i] {
 			return i
 		}
 	}

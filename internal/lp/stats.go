@@ -21,8 +21,8 @@ type Stats struct {
 	// came from a warm start or the crash heuristic).
 	InitialFactorizations int
 	// Refactorizations counts mid-solve basis refactorizations: those
-	// triggered because the update machinery (eta file or Forrest-Tomlin
-	// updates) grew stale, filled in, or hit a numerically unusable pivot.
+	// triggered because the Forrest-Tomlin updates grew stale, filled in,
+	// or hit a numerically unusable pivot.
 	// This is the update-path churn counter; it excludes the initial
 	// factorization, which InitialFactorizations reports separately.
 	Refactorizations int
@@ -82,9 +82,9 @@ type Stats struct {
 	// rebind path (core.CompiledQoS) stamp it so sweep reports can show
 	// how many cells skipped a model rebuild.
 	RebindSolves int
-	// PricingRule names the pricing rule of the solve ("devex" or
-	// "dantzig"). Aggregation keeps the name while all solves agree and
-	// reports "mixed" otherwise.
+	// PricingRule names the pricing rule of the solve (always "devex";
+	// report footers print it). Aggregation keeps the name while all
+	// solves agree and reports "mixed" otherwise.
 	PricingRule string
 	// Wall is the wall-clock time of the solve. It is the only
 	// nondeterministic field.

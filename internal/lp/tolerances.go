@@ -1,20 +1,18 @@
 package lp
 
-// Shared numerical tolerances of the factorization layer. Both basis
-// backends (DenseFactor, SparseFactor) read these constants, so the
-// dense/sparse crossover (Options.DenseLimit) can move without changing
-// which pivots are accepted or which fill is dropped — the two backends
-// make identical accept/reject decisions on the same numbers. A test
-// (TestFactorTolerancesShared) pins the values and the sharing.
+// Numerical tolerances of the factorization layer. A test
+// (TestFactorTolerancesShared) pins the values and that SparseFactor
+// constructs from them.
 const (
-	// factorPivTol is the minimum pivot magnitude either backend accepts,
-	// both during a full factorization and when absorbing a basis update.
+	// factorPivTol is the minimum pivot magnitude the factorization
+	// accepts, both during a full factorization and when absorbing a basis
+	// update.
 	// An update whose pivot falls below it fails with ErrNumerical and the
 	// simplex refactorizes instead.
 	factorPivTol = 1e-10
 
-	// factorDropTol is the magnitude below which update fill (eta entries,
-	// Forrest-Tomlin spike and multiplier entries) is dropped as numerical
+	// factorDropTol is the magnitude below which update fill
+	// (Forrest-Tomlin spike and multiplier entries) is dropped as numerical
 	// noise rather than stored.
 	factorDropTol = 1e-12
 
@@ -27,17 +25,12 @@ const (
 	// absorbing the basis change exactly.
 	factorUpdateAccTol = 1e-9
 
-	// denseMaxEtas bounds the dense backend's product-form eta file before
-	// it requests a refactorization. Dense etas are cheap to apply but the
-	// dense refactorization is cheap too, so the file stays short.
-	denseMaxEtas = 64
-
-	// sparseMaxEtas bounds the sparse backend's Forrest-Tomlin update count
-	// before it requests a refactorization. FT updates modify the stored U
-	// in place and append only a short row eta per pivot, so the file can
-	// run far longer than a product-form eta file without numerical drift
-	// or densifying solves — this is what keeps the sparse refactorization
-	// count low on big bases.
+	// sparseMaxEtas bounds the Forrest-Tomlin update count before a
+	// refactorization is requested. FT updates modify the stored U in place
+	// and append only a short row eta per pivot, so the file can run far
+	// longer than a product-form eta file without numerical drift or
+	// densifying solves — this is what keeps the refactorization count low
+	// on big bases.
 	sparseMaxEtas = 500
 
 	// luPivThreshold is the threshold-partial-pivoting acceptance factor of

@@ -5,11 +5,8 @@ import (
 	"testing"
 )
 
-// TestFactorTolerancesShared pins the shared tolerance constants and the
-// fact that both backends actually construct from them. Moving the
-// dense/sparse crossover (Options.DenseLimit) must never change which
-// pivots are accepted or which fill is dropped; that holds exactly as long
-// as the two backends read the same constants.
+// TestFactorTolerancesShared pins the factorization tolerance constants and
+// the fact that SparseFactor actually constructs from them.
 func TestFactorTolerancesShared(t *testing.T) {
 	if factorPivTol != 1e-10 {
 		t.Errorf("factorPivTol = %g, want 1e-10", factorPivTol)
@@ -20,21 +17,11 @@ func TestFactorTolerancesShared(t *testing.T) {
 	if factorUpdateAccTol != 1e-9 {
 		t.Errorf("factorUpdateAccTol = %g, want 1e-9", factorUpdateAccTol)
 	}
-	if denseMaxEtas != 64 {
-		t.Errorf("denseMaxEtas = %d, want 64", denseMaxEtas)
-	}
 	if sparseMaxEtas != 500 {
 		t.Errorf("sparseMaxEtas = %d, want 500", sparseMaxEtas)
 	}
 	if sparseFillLimit != 4 {
 		t.Errorf("sparseFillLimit = %d, want 4", sparseFillLimit)
-	}
-	d := NewDenseFactor(0)
-	if d.pivTol != factorPivTol {
-		t.Errorf("dense pivTol = %g, want shared factorPivTol %g", d.pivTol, factorPivTol)
-	}
-	if d.maxEtas != denseMaxEtas {
-		t.Errorf("dense maxEtas = %d, want shared denseMaxEtas %d", d.maxEtas, denseMaxEtas)
 	}
 	s := NewSparseFactor(0)
 	if s.pivTol != factorPivTol {
@@ -45,10 +32,9 @@ func TestFactorTolerancesShared(t *testing.T) {
 	}
 }
 
-// TestSparseFactorLongUpdateChain drives both backends through the same
-// long pivot sequence — far past the old product-form eta budget — checking
-// after every few pivots that FTRAN/BTRAN still solve against the current
-// basis. The Btran between Ftran and Update mimics the devex weight update,
+// TestSparseFactorLongUpdateChain drives the factorization through a long
+// pivot sequence — far past a product-form eta budget — checking after
+// every few pivots that FTRAN/BTRAN still solve against the current basis. The Btran between Ftran and Update mimics the devex weight update,
 // which is exactly the call pattern the sparse backend's Ftran-record
 // optimization must survive.
 func TestSparseFactorLongUpdateChain(t *testing.T) {
@@ -70,11 +56,7 @@ func TestSparseFactorLongUpdateChain(t *testing.T) {
 			inBasis[i] = true
 		}
 		sp := NewSparseFactor(0)
-		dn := NewDenseFactor(0)
 		if err := sp.Factor(a, basis); err != nil {
-			t.Fatal(err)
-		}
-		if err := dn.Factor(a, basis); err != nil {
 			t.Fatal(err)
 		}
 		scratch := make([]float64, m)
@@ -126,15 +108,7 @@ func TestSparseFactorLongUpdateChain(t *testing.T) {
 			for k, r := range ri {
 				w[r] = rv[k]
 			}
-			wd := make([]float64, m)
-			copy(wd, w)
 			sp.Ftran(w)
-			dn.Ftran(wd)
-			for i := range w {
-				if math.Abs(w[i]-wd[i]) > 1e-6 {
-					t.Fatalf("seed %d rep %d: backends disagree on FTRAN image at %d: sparse %g dense %g", seed, rep, i, w[i], wd[i])
-				}
-			}
 			if math.Abs(w[pos]) < 1e-6 {
 				continue // replacement would make the basis near-singular
 			}
@@ -146,10 +120,7 @@ func TestSparseFactorLongUpdateChain(t *testing.T) {
 			scratch[pos] = 1
 			sp.Btran(scratch)
 			if _, err := sp.Update(w, pos); err != nil {
-				t.Fatalf("seed %d rep %d: sparse update: %v", seed, rep, err)
-			}
-			if _, err := dn.Update(wd, pos); err != nil {
-				t.Fatalf("seed %d rep %d: dense update: %v", seed, rep, err)
+				t.Fatalf("seed %d rep %d: update: %v", seed, rep, err)
 			}
 			inBasis[basis[pos]] = false
 			inBasis[newCol] = true

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"wideplace/internal/dist"
+	"wideplace/internal/experiments"
 )
 
 // startDistWorker runs an in-process dist worker over HTTP.
@@ -99,8 +101,25 @@ func TestDispatcherJobByteIdentical(t *testing.T) {
 	}
 }
 
-// jobStream reads a job's NDJSON stream to completion.
-func jobStream(t *testing.T, ts *httptest.Server, id string) (lines []map[string]interface{}) {
+// gatedDispatcher holds every SolveColumn until open is closed, so a test
+// can subscribe to a job's stream before any column finishes.
+type gatedDispatcher struct {
+	Dispatcher
+	open chan struct{}
+}
+
+func (g gatedDispatcher) SolveColumn(ctx context.Context, shard dist.ShardJob) ([]experiments.Point, bool, error) {
+	select {
+	case <-g.open:
+	case <-ctx.Done():
+		return nil, false, context.Cause(ctx)
+	}
+	return g.Dispatcher.SolveColumn(ctx, shard)
+}
+
+// jobStream reads a job's NDJSON stream to completion, calling afterHeader
+// (when non-nil) once the header line has been read.
+func jobStream(t *testing.T, ts *httptest.Server, id string, afterHeader func()) (lines []map[string]interface{}) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/jobs/" + id + "/stream")
 	if err != nil {
@@ -120,6 +139,9 @@ func jobStream(t *testing.T, ts *httptest.Server, id string) (lines []map[string
 			t.Fatalf("stream line %q: %v", sc.Text(), err)
 		}
 		lines = append(lines, line)
+		if len(lines) == 1 && afterHeader != nil {
+			afterHeader()
+		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -130,16 +152,19 @@ func jobStream(t *testing.T, ts *httptest.Server, id string) (lines []map[string
 // TestJobStream covers the job NDJSON stream in both modes: a live job
 // streams a header, progress (and, with a dispatcher, per-column) events
 // and a done trailer; an already-finished job streams header + trailer
-// immediately.
+// immediately. Columns are held until the stream's header has been read:
+// otherwise the job can finish before the stream subscribes, and the
+// stream then correctly carries only header + trailer.
 func TestJobStream(t *testing.T) {
 	co := dist.NewCoordinator(dist.CoordinatorConfig{WorkerWait: 10 * time.Second})
 	co.Register(startDistWorker(t).URL)
-	_, ts := newTestServer(t, Config{Workers: 1, Parallel: 1, Dispatcher: co})
+	gate := gatedDispatcher{Dispatcher: co, open: make(chan struct{})}
+	_, ts := newTestServer(t, Config{Workers: 1, Parallel: 1, Dispatcher: gate})
 
 	const job = `{"spec":{"workload":"web","scale":"small","nodes":5,"objects":5,
 		"requests":400,"horizonMillis":7200000,"qos":[0.9,0.95]},"classes":["general","caching"]}`
 	v, _ := postJob(t, ts, job)
-	lines := jobStream(t, ts, v.ID)
+	lines := jobStream(t, ts, v.ID, func() { close(gate.open) })
 	if len(lines) < 2 {
 		t.Fatalf("stream held %d lines, want header + trailer at least", len(lines))
 	}
@@ -166,7 +191,7 @@ func TestJobStream(t *testing.T) {
 	}
 
 	// A finished job answers immediately with header + trailer.
-	lines = jobStream(t, ts, v.ID)
+	lines = jobStream(t, ts, v.ID, nil)
 	if len(lines) != 2 || lines[0]["type"] != "job" || lines[1]["type"] != "job" {
 		t.Fatalf("finished-job stream = %v, want exactly header + trailer", lines)
 	}

@@ -68,12 +68,6 @@ type Config struct {
 	// PresolveAuto = on). Bounds are identical either way; only solver
 	// effort differs.
 	Presolve lp.PresolveMode
-	// Pricing selects the simplex pricing rule for job sweeps (default
-	// PricingAuto = devex).
-	Pricing lp.PricingRule
-	// Factor selects the basis factorization backend for job sweeps
-	// (default FactorAuto = size-based).
-	Factor lp.FactorBackend
 	// MaxJobs bounds retained finished jobs (default 1024); the oldest
 	// finished jobs (and their cached results) are evicted beyond it.
 	MaxJobs int
@@ -284,8 +278,6 @@ func (s *Server) runJob(j *Job) {
 		}
 		opts.Bound.LP.CheckEvery = s.cfg.CheckEvery
 		opts.Bound.LP.Presolve = s.cfg.Presolve
-		opts.Bound.LP.Pricing = s.cfg.Pricing
-		opts.Bound.LP.Factor = s.cfg.Factor
 		if s.cfg.Dispatcher != nil {
 			var fp string
 			fp, err = scenario.Fingerprint(sys)

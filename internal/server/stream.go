@@ -129,8 +129,6 @@ func (s *Server) handleControllerStream(w http.ResponseWriter, r *http.Request) 
 	cfg.LP.CheckEvery = s.cfg.CheckEvery
 	cfg.LP.Timeout = s.cfg.SolveTimeout
 	cfg.LP.Presolve = s.cfg.Presolve
-	cfg.LP.Pricing = s.cfg.Pricing
-	cfg.LP.Factor = s.cfg.Factor
 	ctl, err := controller.New(cfg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

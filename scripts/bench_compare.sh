@@ -49,7 +49,7 @@
 #   BENCH_COUNT    repetitions per benchmark (default 3; raise for benchstat
 #                  significance testing)
 #   BENCH_PATTERN  benchmark regexp (default the sweep ladder:
-#                  BenchmarkSweep(Warm|Cold|Presolved)$)
+#                  BenchmarkSweep(Warm|Cold)$)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,7 +70,7 @@ if [ "${1:-}" = "--trace" ]; then
 fi
 
 count="${BENCH_COUNT:-3}"
-pattern="${BENCH_PATTERN:-BenchmarkSweep(Warm|Cold|Presolved)\$}"
+pattern="${BENCH_PATTERN:-BenchmarkSweep(Warm|Cold)\$}"
 
 summarize() {
     # Mean ns/op per benchmark from `go test -bench` output lines like
