@@ -52,6 +52,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"no subcommand", nil},
 		{"unknown subcommand", []string{"frobnicate"}},
 		{"unknown workload", []string{"gen-trace", "-workload", "cdn"}},
+		{"negative zipf exponent", []string{"gen-trace", "-workload", "web", "-zipf", "-200"}},
 		{"describe without inputs", []string{"describe"}},
 		{"describe missing file", []string{"describe", "-trace", "/nonexistent/trace.json"}},
 	}

@@ -354,3 +354,72 @@ func (in *Instance) createAllowed(class *Class) [][][]bool {
 	}
 	return out
 }
+
+// firstAllowed returns, for a class, the earliest interval in which node n
+// may create object k, indexed [n][k], with nI meaning never. It equals the
+// first true cell of createAllowed's [n][.][k] but never builds that
+// tensor. Let f be the first interval in which n's sphere of knowledge
+// accessed k. With a non-empty history window (HistoryAll or at least one
+// interval), creation first opens at f, or at f+1 when reactive: that is
+// the first window to hold f. Before it no window holds an access. An
+// initial replica in the sphere counts as history at interval -1 (paper
+// constraint 21), so it opens creation at interval 0 whenever the window
+// of interval 0 reaches back to -1: an unbounded history, or History >= 2
+// (proactive) or >= 1 (reactive).
+func (in *Instance) firstAllowed(class *Class) [][]int {
+	nN, nI, nK := in.Dims()
+	out := make([][]int, nN)
+	if class == nil || class.Unrestricted {
+		for n := range out {
+			out[n] = make([]int, nK) // always allowed
+		}
+		return out
+	}
+	know := class.knowMatrix(in.Topo)
+	hist := class.history()
+	lag := 0
+	if class.Reactive {
+		lag = 1
+	}
+	windowOpen := hist == HistoryAll || hist >= 1
+	initialCounts := in.Initial != nil && (hist == HistoryAll || hist >= 2-lag)
+
+	// firstAccess[m][k]: the first interval in which m read or wrote k.
+	firstAccess := make([][]int, nN)
+	for m := range firstAccess {
+		row := make([]int, nK)
+		for k := range row {
+			row[k] = nI
+		}
+		for i := nI - 1; i >= 0; i-- {
+			reads, writes := in.Counts.Reads[m][i], in.Counts.Writes[m][i]
+			for k := range row {
+				if reads[k] > 0 || writes[k] > 0 {
+					row[k] = i
+				}
+			}
+		}
+		firstAccess[m] = row
+	}
+	for n := range out {
+		row := make([]int, nK)
+		for k := range row {
+			row[k] = nI
+		}
+		for m := 0; m < nN; m++ {
+			if !know[n][m] {
+				continue
+			}
+			for k := range row {
+				if windowOpen && firstAccess[m][k]+lag < row[k] {
+					row[k] = firstAccess[m][k] + lag
+				}
+				if initialCounts && in.Initial[m][k] {
+					row[k] = 0
+				}
+			}
+		}
+		out[n] = row
+	}
+	return out
+}

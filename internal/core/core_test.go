@@ -8,6 +8,7 @@ import (
 
 	"wideplace/internal/topology"
 	"wideplace/internal/workload"
+	"wideplace/internal/xrand"
 )
 
 // lineTopo builds the 3-node line 0 --100ms-- 1 --100ms-- 2 with origin 0.
@@ -389,6 +390,82 @@ func TestCreateAllowedWindows(t *testing.T) {
 	}
 	if !cr[2][1][0] || !cr[2][2][0] {
 		t.Error("reactive general: object 0 creatable from interval 1 onward")
+	}
+}
+
+// TestFirstAllowedMatchesCreateAllowed checks the direct derivation of the
+// earliest creation interval against the first true cell of the full
+// createAllowed tensor, for every class shape on sparse random traces, with
+// and without an initial placement.
+func TestFirstAllowedMatchesCreateAllowed(t *testing.T) {
+	rng := xrand.New(11)
+	for trial := 0; trial < 12; trial++ {
+		nodes, objects := 4+rng.Intn(4), 5+rng.Intn(10)
+		topo, err := topology.Generate(topology.GenOptions{N: nodes, Seed: rng.Uint64()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := workload.GenerateWeb(workload.WebOptions{
+			Nodes: nodes, Objects: objects, Requests: 5 + rng.Intn(40),
+			Duration: 8 * time.Hour, Seed: rng.Uint64(), ZipfS: 1.5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts, err := tr.Bucket(time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := NewInstance(topo, counts, DefaultCost(), QoS(0.9, 150))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var classes []*Class
+		classes = append(classes, Classes(topo, 150)...)
+		classes = append(classes, Reactive(), nil)
+		for _, hist := range []int{HistoryAll, 0, 1, 2, 3, 5} {
+			for _, reactive := range []bool{false, true} {
+				for _, know := range [][][]bool{nil, topology.IdentityMatrix(nodes), topo.CooperativeKnow(150)} {
+					classes = append(classes, &Class{Name: "shape", Know: know, History: hist, Reactive: reactive})
+				}
+			}
+		}
+		initial := make([][]bool, nodes)
+		for n := range initial {
+			initial[n] = make([]bool, objects)
+			for k := range initial[n] {
+				initial[n][k] = rng.Intn(4) == 0
+			}
+		}
+		for _, init := range [][][]bool{nil, initial} {
+			if err := inst.SetInitial(init); err != nil {
+				t.Fatal(err)
+			}
+			for ci, class := range classes {
+				got := inst.firstAllowed(class)
+				createOK := inst.createAllowed(class)
+				_, nI, nK := inst.Dims()
+				for m := range got {
+					for k := 0; k < nK; k++ {
+						want := nI
+						if createOK[m] == nil {
+							want = 0
+						} else {
+							for i := 0; i < nI; i++ {
+								if createOK[m][i][k] {
+									want = i
+									break
+								}
+							}
+						}
+						if got[m][k] != want {
+							t.Fatalf("trial %d class %d (%+v), initial %v: firstAllowed[%d][%d] = %d, createAllowed says %d",
+								trial, ci, class, init != nil, m, k, got[m][k], want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

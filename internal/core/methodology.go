@@ -254,25 +254,8 @@ func (in *Instance) Attainable(class *Class) error {
 	}
 	nN, nI, nK := in.Dims()
 	reach := in.Reach(class)
-	createOK := in.createAllowed(class)
 	// firstAllowed[m][k]: earliest interval where m may create k.
-	firstAllowed := make([][]int, nN)
-	for m := 0; m < nN; m++ {
-		firstAllowed[m] = make([]int, nK)
-		for k := 0; k < nK; k++ {
-			firstAllowed[m][k] = nI // never
-			if createOK[m] == nil {
-				firstAllowed[m][k] = 0
-				continue
-			}
-			for i := 0; i < nI; i++ {
-				if createOK[m][i][k] {
-					firstAllowed[m][k] = i
-					break
-				}
-			}
-		}
-	}
+	firstAllowed := in.firstAllowed(class)
 	var totCov, totAll float64
 	for u := 0; u < nN; u++ {
 		var covered, total float64

@@ -57,6 +57,49 @@ func TestRegisteredScenariosCompileDeterministically(t *testing.T) {
 	}
 }
 
+// goldenFingerprints pins the compiled system of every registered scenario.
+// A change to a generator's draw order, its sampling or the bucketing moves
+// these hashes, so such a change fails here and not only in the benchmark's
+// reference check. A new scenario must add its fingerprint.
+var goldenFingerprints = map[string]string{
+	"diurnal-shift":           "sha256:a7c6961f218e79de2fac72baa7e6312e69258f2f68c8b08178e77d9a19be4998",
+	"flash-crowd":             "sha256:5d127a08e09c6d00aa016ef3c3d459c22ca6556a59a97bf3cf3e7e508a1e6973",
+	"paper20-group":           "sha256:e09215298a6e477c1d6d55fb7593d72a24787fec2cb73ecfd3b131750cd0be46",
+	"paper20-group-full":      "sha256:4b3001fbdd71cccae94a6c1ba84e5247dba5077ad05e110c8c092608667efa15",
+	"paper20-web":             "sha256:d6674f10a3b1b21d0146cc3225f94c90461e8cf61a89f95d3f0e5e1ebfac20bd",
+	"remote-office-clustered": "sha256:a3f287ec025609f95685d0d31bd5abe5b7f3c8d312c3d5b0f21fd2eb825dbf78",
+	"transit-stub-100":        "sha256:ac61adc7ad56336dd611e4aadc5e54fa3ef52062d281ee742acc64bb24c79529",
+	"tree-kary-63":            "sha256:9ee7a81e32b2ee6f460a800a6fd17d34838987bdfc0345b223c477d09f8e0823",
+	"tree-random-100":         "sha256:d6d371e0323f561bdc3bfb20872e49d91deb3d15229fe5e0342bf16934c5b088",
+}
+
+func TestRegisteredScenarioFingerprints(t *testing.T) {
+	for _, name := range Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			want, ok := goldenFingerprints[name]
+			if !ok {
+				t.Fatalf("no golden fingerprint for registered scenario %s", name)
+			}
+			spec, err := Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spec.Workload.Requests >= StreamingThreshold && testing.Short() {
+				t.Skipf("skipping the %d-request compile in short mode", spec.Workload.Requests)
+			}
+			t.Parallel()
+			res, err := Compile(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Fingerprint != want {
+				t.Fatalf("fingerprint %s, want %s", res.Fingerprint, want)
+			}
+		})
+	}
+}
+
 // FromPreset must round-trip the hard-coded experiment presets through the
 // scenario layer without changing a byte of the materialized system: the
 // registry is a refactoring of the paper instance, not a reinterpretation.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -128,34 +129,13 @@ func zipfWeights(n int, s float64) []float64 {
 	return w
 }
 
-// cumulative converts weights to a normalized cumulative distribution.
-func cumulative(w []float64) []float64 {
-	cum := make([]float64, len(w))
-	total := 0.0
-	for i, v := range w {
-		total += v
-		cum[i] = total
+// validateExponent rejects a popularity exponent that would turn the Zipf
+// weights into infinities, zeros or NaNs.
+func validateExponent(name string, s float64) error {
+	if !isFinite(s) || s < 0 {
+		return fmt.Errorf("workload: %s %v must be a finite non-negative number", name, s)
 	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	cum[len(cum)-1] = 1
-	return cum
-}
-
-// sample draws an index from a cumulative distribution by binary search.
-func sample(cum []float64, rng *xrand.Rand) int {
-	u := rng.Float64()
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return nil
 }
 
 // AddWrites returns a copy of the trace where a deterministic fraction of

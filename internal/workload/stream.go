@@ -12,6 +12,7 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -36,7 +37,9 @@ type Stream struct {
 	requests int
 	duration time.Duration
 	pos      int
-	draw     func(i int) Access
+	// fill draws the accesses pos, pos+1, ... into buf, in order. One call
+	// per chunk keeps the per-access draw free of indirect calls.
+	fill func(buf []Access, pos int)
 }
 
 // Nodes returns the site count of the workload.
@@ -58,10 +61,8 @@ func (s *Stream) Next(buf []Access) int {
 	if left := s.requests - s.pos; n > left {
 		n = left
 	}
-	for j := 0; j < n; j++ {
-		buf[j] = s.draw(s.pos)
-		s.pos++
-	}
+	s.fill(buf[:n], s.pos)
+	s.pos += n
 	return n
 }
 
@@ -77,9 +78,7 @@ func (s *Stream) Materialize() (*Trace, error) {
 		NumObjects: s.objects,
 		Duration:   s.duration,
 	}
-	for i := range tr.Accesses {
-		tr.Accesses[i] = s.draw(i)
-	}
+	s.fill(tr.Accesses, 0)
 	s.pos = s.requests
 	sortAccesses(tr.Accesses)
 	return tr, nil
@@ -114,23 +113,13 @@ func (s *Stream) Counts(delta time.Duration) (*Counts, error) {
 		if n == 0 {
 			break
 		}
-		for _, a := range buf[:n] {
-			i := int(a.At / delta)
-			if i >= ni {
-				i = ni - 1
-			}
-			if a.Write {
-				writes[a.Node][i][a.Object]++
-			} else {
-				reads[a.Node][i][a.Object]++
-			}
-		}
+		bucket(reads, writes, buf[:n], delta, ni)
 	}
 	return packCounts(s.nodes, ni, s.objects, delta, reads, writes), nil
 }
 
-// intervalCount mirrors Trace.Bucket's interval derivation: the final
-// interval absorbs any remainder of the horizon.
+// intervalCount is the number of evaluation intervals of length delta in a
+// horizon: the final interval absorbs any remainder of it.
 func intervalCount(duration, delta time.Duration) int {
 	ni := int(duration / delta)
 	if time.Duration(ni)*delta < duration {
@@ -158,23 +147,40 @@ func newStream(s genSpec) (*Stream, error) {
 	if err := validateWriteFraction(s.writeFraction); err != nil {
 		return nil, err
 	}
+	objs, err := cumulative(s.objWeights)
+	if err != nil {
+		return nil, fmt.Errorf("workload: object popularity: %w", err)
+	}
+	nodes, err := cumulative(s.nodeWeights)
+	if err != nil {
+		return nil, fmt.Errorf("workload: site activity: %w", err)
+	}
 	rng := xrand.New(s.seed)
-	objCum := cumulative(s.objWeights)
-	nodeCum := cumulative(s.nodeWeights)
 	wrng := writeRNG(s.seed, s.writeFraction)
-	draw := func(int) Access {
-		a := Access{
-			At:     time.Duration(rng.Float64() * float64(s.duration)),
-			Node:   sample(nodeCum, rng),
-			Object: sample(objCum, rng),
+	fill := func(buf []Access, _ int) {
+		for j := range buf {
+			a := Access{
+				At:     time.Duration(rng.Float64() * float64(s.duration)),
+				Node:   nodes.index(rng.Float64()),
+				Object: objs.index(rng.Float64()),
+			}
+			flagWrite(&a, wrng, s.writeFraction)
+			buf[j] = a
 		}
-		flagWrite(&a, wrng, s.writeFraction)
-		return a
 	}
 	return &Stream{
 		nodes: s.nodes, objects: s.objects, requests: s.requests,
-		duration: s.duration, draw: draw,
+		duration: s.duration, fill: fill,
 	}, nil
+}
+
+// validateExponents checks the Zipf object-popularity and site-activity
+// exponents of the WEB and flash-crowd models.
+func validateExponents(zipfS, nodeSkew float64) error {
+	if err := validateExponent("ZipfS", zipfS); err != nil {
+		return err
+	}
+	return validateExponent("NodeSkew", nodeSkew)
 }
 
 func validateWriteFraction(f float64) error {
@@ -210,6 +216,9 @@ func StreamWeb(opts WebOptions) (*Stream, error) {
 	if opts.Nodes <= 0 || opts.Objects <= 0 || opts.Requests <= 0 {
 		return nil, errors.New("workload: nodes, objects and requests must be positive")
 	}
+	if err := validateExponents(opts.ZipfS, opts.NodeSkew); err != nil {
+		return nil, err
+	}
 	objW := zipfWeights(opts.Objects, opts.ZipfS)
 	nodeW := zipfWeights(opts.Nodes, opts.NodeSkew)
 	return newStream(genSpec{
@@ -224,8 +233,11 @@ func StreamWeb(opts WebOptions) (*Stream, error) {
 // materialized form.
 func StreamGroup(opts GroupOptions) (*Stream, error) {
 	opts = opts.withDefaults()
-	if opts.MinPop <= 0 || opts.MaxPop < opts.MinPop {
-		return nil, errors.New("workload: need 0 < MinPop <= MaxPop")
+	if opts.Nodes <= 0 || opts.Objects <= 0 || opts.Requests <= 0 {
+		return nil, errors.New("workload: nodes, objects and requests must be positive")
+	}
+	if !isFinite(opts.MinPop) || !isFinite(opts.MaxPop) || opts.MinPop <= 0 || opts.MaxPop < opts.MinPop {
+		return nil, errors.New("workload: need finite 0 < MinPop <= MaxPop")
 	}
 	rng := xrand.New(opts.Seed ^ 0x5eed)
 	objW := make([]float64, opts.Objects)
@@ -267,33 +279,44 @@ func StreamFlashCrowd(opts FlashCrowdOptions) (*Stream, error) {
 	if err := validateWriteFraction(opts.WriteFraction); err != nil {
 		return nil, err
 	}
+	if err := validateExponents(opts.ZipfS, opts.NodeSkew); err != nil {
+		return nil, err
+	}
+	objs, err := cumulative(zipfWeights(opts.Objects, opts.ZipfS))
+	if err != nil {
+		return nil, fmt.Errorf("workload: object popularity: %w", err)
+	}
+	nodes, err := cumulative(zipfWeights(opts.Nodes, opts.NodeSkew))
+	if err != nil {
+		return nil, fmt.Errorf("workload: site activity: %w", err)
+	}
 	rng := xrand.New(opts.Seed)
-	objCum := cumulative(zipfWeights(opts.Objects, opts.ZipfS))
-	nodeCum := cumulative(zipfWeights(opts.Nodes, opts.NodeSkew))
 	crowd := int(math.Round(opts.CrowdShare * float64(opts.Requests)))
 	base := opts.Requests - crowd
 	wrng := writeRNG(opts.Seed, opts.WriteFraction)
-	draw := func(i int) Access {
-		var a Access
-		if i < base {
-			a = Access{
-				At:     time.Duration(rng.Float64() * float64(opts.Duration)),
-				Node:   sample(nodeCum, rng),
-				Object: sample(objCum, rng),
+	fill := func(buf []Access, pos int) {
+		for j := range buf {
+			var a Access
+			if pos+j < base {
+				a = Access{
+					At:     time.Duration(rng.Float64() * float64(opts.Duration)),
+					Node:   nodes.index(rng.Float64()),
+					Object: objs.index(rng.Float64()),
+				}
+			} else {
+				a = Access{
+					At:     opts.CrowdStart + time.Duration(rng.Float64()*float64(opts.CrowdWidth)),
+					Node:   rng.Intn(opts.Nodes),
+					Object: rng.Intn(opts.HotObjects),
+				}
 			}
-		} else {
-			a = Access{
-				At:     opts.CrowdStart + time.Duration(rng.Float64()*float64(opts.CrowdWidth)),
-				Node:   rng.Intn(opts.Nodes),
-				Object: rng.Intn(opts.HotObjects),
-			}
+			flagWrite(&a, wrng, opts.WriteFraction)
+			buf[j] = a
 		}
-		flagWrite(&a, wrng, opts.WriteFraction)
-		return a
 	}
 	return &Stream{
 		nodes: opts.Nodes, objects: opts.Objects, requests: opts.Requests,
-		duration: opts.Duration, draw: draw,
+		duration: opts.Duration, fill: fill,
 	}, nil
 }
 
@@ -316,15 +339,20 @@ func StreamDiurnal(opts DiurnalOptions) (*Stream, error) {
 	if err := validateWriteFraction(opts.WriteFraction); err != nil {
 		return nil, err
 	}
-	rng := xrand.New(opts.Seed)
-	objCum := cumulative(zipfWeights(opts.Objects, opts.ZipfS))
+	if err := validateExponent("ZipfS", opts.ZipfS); err != nil {
+		return nil, err
+	}
+	objs, err := cumulative(zipfWeights(opts.Objects, opts.ZipfS))
+	if err != nil {
+		return nil, fmt.Errorf("workload: object popularity: %w", err)
+	}
 
 	// Discretize the cycle: node activity is piecewise constant over
-	// steps of Period/steps, which keeps sampling O(log n) per access via
-	// one precomputed cumulative distribution per step.
+	// steps of Period/steps, which keeps sampling O(1) per access via one
+	// precomputed sampler per step.
 	const steps = 24
 	stepLen := opts.Period / steps
-	nodeCums := make([][]float64, steps)
+	nodeSteps := make([]*sampler, steps)
 	for s := 0; s < steps; s++ {
 		w := make([]float64, opts.Nodes)
 		for n := 0; n < opts.Nodes; n++ {
@@ -334,27 +362,32 @@ func StreamDiurnal(opts DiurnalOptions) (*Stream, error) {
 			day := (1 + math.Cos(2*math.Pi*phase)) / 2 // 1 at peak, 0 at trough
 			w[n] = opts.NightFloor + (1-opts.NightFloor)*day
 		}
-		nodeCums[s] = cumulative(w)
+		if nodeSteps[s], err = cumulative(w); err != nil {
+			return nil, fmt.Errorf("workload: site activity: %w", err)
+		}
 	}
+	rng := xrand.New(opts.Seed)
 	// With drift, rank rotation advances once per zone-step of the cycle.
 	driftStep := opts.Period / time.Duration(opts.Zones)
 	wrng := writeRNG(opts.Seed, opts.WriteFraction)
-	draw := func(int) Access {
-		at := time.Duration(rng.Float64() * float64(opts.Duration))
-		step := int((at % opts.Period) / stepLen)
-		if step >= steps {
-			step = steps - 1
+	fill := func(buf []Access, _ int) {
+		for j := range buf {
+			at := time.Duration(rng.Float64() * float64(opts.Duration))
+			step := int((at % opts.Period) / stepLen)
+			if step >= steps {
+				step = steps - 1
+			}
+			obj := objs.index(rng.Float64())
+			if opts.ObjectDrift {
+				obj = (obj + int(at/driftStep)*17) % opts.Objects
+			}
+			a := Access{At: at, Node: nodeSteps[step].index(rng.Float64()), Object: obj}
+			flagWrite(&a, wrng, opts.WriteFraction)
+			buf[j] = a
 		}
-		obj := sample(objCum, rng)
-		if opts.ObjectDrift {
-			obj = (obj + int(at/driftStep)*17) % opts.Objects
-		}
-		a := Access{At: at, Node: sample(nodeCums[step], rng), Object: obj}
-		flagWrite(&a, wrng, opts.WriteFraction)
-		return a
 	}
 	return &Stream{
 		nodes: opts.Nodes, objects: opts.Objects, requests: opts.Requests,
-		duration: opts.Duration, draw: draw,
+		duration: opts.Duration, fill: fill,
 	}, nil
 }

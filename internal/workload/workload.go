@@ -102,30 +102,31 @@ func (t *Trace) Bucket(delta time.Duration) (*Counts, error) {
 	if delta <= 0 {
 		return nil, errors.New("workload: interval must be positive")
 	}
-	ni := int(t.Duration / delta)
-	if time.Duration(ni)*delta < t.Duration {
-		ni++
-	}
-	if ni == 0 {
-		ni = 1
-	}
+	ni := intervalCount(t.Duration, delta)
 	c := &Counts{
 		Nodes: t.NumNodes, Intervals: ni, Objects: t.NumObjects, Delta: delta,
 		Reads:  alloc3(t.NumNodes, ni, t.NumObjects),
 		Writes: alloc3(t.NumNodes, ni, t.NumObjects),
 	}
-	for _, a := range t.Accesses {
+	bucket(c.Reads, c.Writes, t.Accesses, delta, ni)
+	return c, nil
+}
+
+// bucket adds each access to its [node][interval][object] cell of reads or
+// writes; accesses past the last of the ni intervals land in it. It is the
+// one bucketing kernel behind Trace.Bucket and Stream.Counts.
+func bucket(reads, writes [][][]int, accs []Access, delta time.Duration, ni int) {
+	for _, a := range accs {
 		i := int(a.At / delta)
 		if i >= ni {
 			i = ni - 1
 		}
 		if a.Write {
-			c.Writes[a.Node][i][a.Object]++
+			writes[a.Node][i][a.Object]++
 		} else {
-			c.Reads[a.Node][i][a.Object]++
+			reads[a.Node][i][a.Object]++
 		}
 	}
-	return c, nil
 }
 
 // alloc3 allocates an n x i x k tensor backed by a single slice.
