@@ -58,15 +58,12 @@ func benchmarkFigure1(b *testing.B, kind experiments.WorkloadKind, parallel int)
 	}
 }
 
-// BenchmarkFigure1WEB regenerates Figure 1 (left): per-class lower bounds
-// vs QoS for the heavy-tailed WEB workload (all cores).
-func BenchmarkFigure1WEB(b *testing.B) { benchmarkFigure1(b, experiments.WEB, 0) }
-
 // BenchmarkFigure1GROUP regenerates Figure 1 (right) for the uniform GROUP
 // workload (all cores).
 func BenchmarkFigure1GROUP(b *testing.B) { benchmarkFigure1(b, experiments.GROUP, 0) }
 
-// BenchmarkSweep is the sweep-engine ablation: the same Figure 1 grid
+// BenchmarkSweep is the sweep-engine ablation and regenerates Figure 1
+// (left): per-class lower bounds vs QoS for the heavy-tailed WEB workload,
 // solved serially and fanned out across GOMAXPROCS workers. The TSV output
 // is byte-identical between the two (results are slotted by cell index);
 // only the wall clock differs.

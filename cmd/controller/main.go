@@ -27,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"wideplace/internal/atomicio"
 	"wideplace/internal/cli"
 	"wideplace/internal/controller"
 	"wideplace/internal/core"
@@ -174,7 +175,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *benchFlag != "" {
-		if err := appendRecord(*benchFlag, rec); err != nil {
+		if err := atomicio.AppendJSON(*benchFlag, rec); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "recorded -> %s\n", *benchFlag)
@@ -310,32 +311,6 @@ func compareRecords(path string, w io.Writer) error {
 	}
 	fmt.Fprintln(w, "gate passed")
 	return nil
-}
-
-// appendRecord extends the JSON-array history file with one record,
-// tolerating a missing or empty file (same convention as BENCH_scale.json).
-func appendRecord(path string, rec benchRecord) error {
-	var history []json.RawMessage
-	if data, err := os.ReadFile(path); err == nil {
-		trimmed := strings.TrimSpace(string(data))
-		if trimmed != "" {
-			if err := json.Unmarshal([]byte(trimmed), &history); err != nil {
-				return fmt.Errorf("existing %s: %w", path, err)
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	history = append(history, raw)
-	out, err := json.MarshalIndent(history, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // truncate limits a bucketed workload to its first n intervals.

@@ -2,8 +2,8 @@
 // how solver effort scales with the site count. For every scenario and
 // every ladder size it rescales the spec (scenario.Spec.WithNodes), runs
 // the full bound sweep and writes one TSV per size — including the
-// deterministic "# solver:" footer — plus an appended data point in
-// BENCH_scale.json, mirroring the BENCH_sweep.json convention.
+// deterministic "# solver:" footer — plus an appended data point in the
+// BENCH_scale.json history.
 //
 // Usage:
 //
@@ -229,7 +229,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		record.Scenarios = append(record.Scenarios, entry)
 	}
 	if *benchFlag != "" {
-		if err := appendRecord(*benchFlag, record); err != nil {
+		if err := atomicio.AppendJSON(*benchFlag, record); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "appended record to %s\n", *benchFlag)
@@ -287,8 +287,7 @@ func writeTSV(path string, fig *experiments.Figure, footers []string) error {
 	return atomicio.WriteFile(path, buf.Bytes(), 0o644)
 }
 
-// scaleSolver mirrors BENCH_sweep.json's solver block: the deterministic
-// effort counters of one sweep.
+// scaleSolver holds the deterministic effort counters of one sweep.
 type scaleSolver struct {
 	Iterations       int `json:"iterations"`
 	Phase1Iterations int `json:"phase1Iterations"`
@@ -571,32 +570,4 @@ func compareRecords(path string, w io.Writer) error {
 			len(regressions), strings.Join(regressions, "\n  "))
 	}
 	return nil
-}
-
-// appendRecord extends the JSON-array history file with one record,
-// tolerating a missing or empty file.
-func appendRecord(path string, rec scaleRecord) error {
-	var history []json.RawMessage
-	if data, err := os.ReadFile(path); err == nil {
-		trimmed := strings.TrimSpace(string(data))
-		if trimmed != "" {
-			if err := json.Unmarshal([]byte(trimmed), &history); err != nil {
-				return fmt.Errorf("existing %s: %w", path, err)
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	history = append(history, raw)
-	out, err := json.MarshalIndent(history, "", "  ")
-	if err != nil {
-		return err
-	}
-	// Atomic replace: the history file is append-only state shared across
-	// runs, so a crash mid-write must not destroy the prior records.
-	return atomicio.WriteFile(path, append(out, '\n'), 0o644)
 }

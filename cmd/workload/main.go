@@ -14,12 +14,10 @@
 //	workload compile -scenario spec.json -topo topo.json -trace trace.json
 //	workload gen-bin -scenario paper20-group-full -out group.trace
 //	workload bucket -bin group.trace -verify    # parallel aggregate + differential check
-//	workload bench-trace -record BENCH_trace.json
 //
-// gen-bin, bucket and bench-trace are the streaming trace pipeline: they
-// persist a workload in the compact binary trace format, aggregate it
-// into interval counts without materializing the access slice, and
-// benchmark the streamed path against the materialize-then-bucket one.
+// gen-bin and bucket are the streaming trace pipeline: they persist a
+// workload in the compact binary trace format and aggregate it into
+// interval counts without materializing the access slice.
 package main
 
 import (
@@ -43,7 +41,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("need a subcommand: gen-topology, gen-trace, describe, scenarios, compile, gen-bin, bucket or bench-trace")
+		return fmt.Errorf("need a subcommand: gen-topology, gen-trace, describe, scenarios, compile, gen-bin or bucket")
 	}
 	switch args[0] {
 	case "gen-topology":
@@ -60,8 +58,6 @@ func run(args []string, stdout io.Writer) error {
 		return genBin(args[1:], stdout)
 	case "bucket":
 		return bucketBin(args[1:], stdout)
-	case "bench-trace":
-		return benchTrace(args[1:], stdout)
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}

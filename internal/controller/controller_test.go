@@ -50,10 +50,21 @@ func smallSystem(t *testing.T) (*topology.Topology, *workload.Trace, *workload.C
 	return topo, tr, c
 }
 
+// The warm iteration counts of the last BENCH_controller.json record
+// (diurnal-shift, tqos 0.95, lookahead, 8 intervals): the whole chain and
+// its re-solves, intervals 1 onwards.
+const (
+	recordWarmIterations        = 2759
+	recordWarmResolveIterations = 1747
+)
+
 // The incremental warm chain must be an optimization, never an
 // approximation: on every interval of the diurnal-shift scenario the
 // warm re-solved bound has to equal the cold full-rebuild bound to LP
 // tolerance, with the warm start actually engaged past the first step.
+// It must also clear two of the bars `controller -compare` holds the
+// bench record to: re-solves at least 3x fewer iterations than cold, and
+// warm iterations at most 10% above the record.
 func TestReplayMatchesColdReplayOnDiurnalShift(t *testing.T) {
 	sys := diurnalSystem(t)
 	cfg := Config{Topo: sys.Topo, Cost: core.DefaultCost(), Goal: core.QoS(0.95, sys.Spec.Tlat)}
@@ -68,8 +79,13 @@ func TestReplayMatchesColdReplayOnDiurnalShift(t *testing.T) {
 	if len(warm.Steps) != sys.Counts.Intervals || len(cold.Steps) != len(warm.Steps) {
 		t.Fatalf("step counts: warm %d, cold %d, want %d", len(warm.Steps), len(cold.Steps), sys.Counts.Intervals)
 	}
+	warmResolve, coldResolve := 0, 0
 	for i, ws := range warm.Steps {
 		cs := cold.Steps[i]
+		if i > 0 {
+			warmResolve += ws.Iterations
+			coldResolve += cs.Iterations
+		}
 		tol := 1e-9 * math.Max(1, math.Abs(cs.Bound))
 		if diff := math.Abs(ws.Bound - cs.Bound); diff > tol {
 			t.Errorf("interval %d: warm bound %.12f vs cold %.12f (diff %g)", i, ws.Bound, cs.Bound, diff)
@@ -85,6 +101,24 @@ func TestReplayMatchesColdReplayOnDiurnalShift(t *testing.T) {
 		t.Errorf("warm chain took %d iterations, cold baseline %d: no incremental win",
 			warm.TotalIterations, cold.TotalIterations)
 	}
+	if coldResolve < 3*warmResolve {
+		t.Errorf("re-solves (intervals 1..%d): warm %d iterations, cold %d: %.2fx, below the 3x bar",
+			len(warm.Steps)-1, warmResolve, coldResolve, float64(coldResolve)/float64(warmResolve))
+	}
+	for _, c := range []struct {
+		name        string
+		got, record int
+	}{
+		{"warm iterations", warm.TotalIterations, recordWarmIterations},
+		{"warm re-solve iterations", warmResolve, recordWarmResolveIterations},
+	} {
+		if float64(c.got) > 1.1*float64(c.record) {
+			t.Errorf("%s regressed %d -> %d (+%.0f%%), beyond the 10%% bar",
+				c.name, c.record, c.got, 100*(float64(c.got)/float64(c.record)-1))
+		}
+	}
+	t.Logf("warm %d iterations (re-solves %d), cold %d (re-solves %d)",
+		warm.TotalIterations, warmResolve, cold.TotalIterations, coldResolve)
 }
 
 // Applying every step's diffs in order must reconstruct every interval's

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // streamPairs returns, for each workload model, a fresh stream and the
@@ -78,6 +80,41 @@ func TestStreamCountsMatchMaterializedBucket(t *testing.T) {
 		if !got.Equal(want) {
 			t.Errorf("%s: streamed counts differ from materialized bucket", name)
 		}
+	}
+}
+
+// TestStreamAllocsFiveTimesBelowMaterialized is the streaming pipeline's
+// memory gate. Materialize-then-Bucket must hold every access live at its
+// peak, requests × sizeof(Access) bytes for the slice alone; the streamed
+// path must allocate at least 5x less than that in total, stream set-up
+// included, on the paper's GROUP shape at a tenth of its volume. Total
+// allocation bounds the streamed peak heap from above, so the gate holds
+// for the peak too. Not parallel: TotalAlloc is process-wide.
+func TestStreamAllocsFiveTimesBelowMaterialized(t *testing.T) {
+	const gate = 5
+	opts := GroupOptions{Nodes: 20, Objects: 100, Requests: 1_600_000, Duration: 24 * time.Hour, Seed: 1}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st, err := StreamGroup(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := st.Counts(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if counts.Intervals != 24 {
+		t.Fatalf("streamed %d intervals, want 24", counts.Intervals)
+	}
+	streamed := after.TotalAlloc - before.TotalAlloc
+	materialized := uint64(opts.Requests) * uint64(unsafe.Sizeof(Access{}))
+	ratio := float64(materialized) / float64(streamed)
+	t.Logf("streamed %d bytes allocated, materialized access slice %d bytes: %.2fx", streamed, materialized, ratio)
+	if gate*streamed > materialized {
+		t.Errorf("streamed path allocated %d bytes against the materialized slice's %d: %.2fx, below the %dx gate",
+			streamed, materialized, ratio, gate)
 	}
 }
 
