@@ -12,15 +12,10 @@
 //	workload scenarios                          # list the scenario registry
 //	workload compile -scenario flash-crowd      # materialize + self-check a scenario
 //	workload compile -scenario spec.json -topo topo.json -trace trace.json
-//	workload gen-bin -scenario paper20-group-full -out group.trace
-//	workload bucket -bin group.trace -verify    # parallel aggregate + differential check
-//
-// gen-bin and bucket are the streaming trace pipeline: they persist a
-// workload in the compact binary trace format and aggregate it into
-// interval counts without materializing the access slice.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +36,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("need a subcommand: gen-topology, gen-trace, describe, scenarios, compile, gen-bin or bucket")
+		return fmt.Errorf("need a subcommand: gen-topology, gen-trace, describe, scenarios or compile")
 	}
 	switch args[0] {
 	case "gen-topology":
@@ -54,10 +49,6 @@ func run(args []string, stdout io.Writer) error {
 		return listScenarios(stdout)
 	case "compile":
 		return compileScenario(args[1:], stdout)
-	case "gen-bin":
-		return genBin(args[1:], stdout)
-	case "bucket":
-		return bucketBin(args[1:], stdout)
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
@@ -124,7 +115,7 @@ func compileScenario(args []string, stdout io.Writer) error {
 	}
 	if *traceOut != "" {
 		if sys.Trace == nil {
-			return fmt.Errorf("compile: -trace export needs a materialized trace; this compile streamed (use gen-bin for large workloads)")
+			return fmt.Errorf("compile: -trace export needs a materialized trace; this compile streamed")
 		}
 		if err := writeArtifact(*traceOut, sys.Trace.Write); err != nil {
 			return err
@@ -145,6 +136,15 @@ func writeArtifact(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
+// positive rejects a zero or negative size flag. The generators read zero
+// as "use the default", which is not what a user who types -nodes 0 means.
+func positive[T int | time.Duration](cmd, name string, v T) error {
+	if v <= 0 {
+		return fmt.Errorf("%s: -%s must be positive, got %v", cmd, name, v)
+	}
+	return nil
+}
+
 func genTopology(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gen-topology", flag.ContinueOnError)
 	nodes := fs.Int("nodes", 20, "number of sites")
@@ -152,6 +152,9 @@ func genTopology(args []string, stdout io.Writer) error {
 	minHop := fs.Float64("min-hop", 100, "minimum hop latency (ms)")
 	maxHop := fs.Float64("max-hop", 200, "maximum hop latency (ms)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := positive("gen-topology", "nodes", *nodes); err != nil {
 		return err
 	}
 	topo, err := topology.Generate(topology.GenOptions{
@@ -174,6 +177,14 @@ func genTrace(args []string, stdout io.Writer) error {
 	zipf := fs.Float64("zipf", 0, "WEB Zipf exponent (0 = default)")
 	writes := fs.Float64("writes", 0, "fraction of accesses turned into writes")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := errors.Join(
+		positive("gen-trace", "nodes", *nodes),
+		positive("gen-trace", "objects", *objects),
+		positive("gen-trace", "requests", *requests),
+		positive("gen-trace", "horizon", *horizon),
+	); err != nil {
 		return err
 	}
 	var tr *workload.Trace

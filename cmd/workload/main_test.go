@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wideplace/internal/scenario"
 )
 
 // TestGenerateAndDescribeRoundTrip drives the binary's real flow: generate
@@ -44,6 +47,51 @@ func TestGenerateAndDescribeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompileExportsReadBack drives compile's -topo/-trace export, reads
+// both files back through describe, and checks that a streamed compile
+// refuses -trace, since it never holds the access slice.
+func TestCompileExportsReadBack(t *testing.T) {
+	const name = "diurnal-shift"
+	spec, err := scenario.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	topoPath := filepath.Join(dir, "topo.json")
+	tracePath := filepath.Join(dir, "trace.json")
+	var out bytes.Buffer
+	if err := run([]string{"compile", "-scenario", name, "-topo", topoPath, "-trace", tracePath}, &out); err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if !strings.Contains(out.String(), "(materialized)") {
+		t.Fatalf("compile of %s did not materialize:\n%s", name, out.String())
+	}
+
+	var desc bytes.Buffer
+	if err := run([]string{"describe", "-topology", topoPath, "-trace", tracePath}, &desc); err != nil {
+		t.Fatalf("describe: %v", err)
+	}
+	got := desc.String()
+	for _, want := range []string{
+		fmt.Sprintf("topology: %d sites", spec.Nodes()),
+		fmt.Sprintf("trace: %d accesses", spec.Workload.Requests),
+		fmt.Sprintf("%d objects", spec.Workload.Objects),
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("describe output missing %q:\n%s", want, got)
+		}
+	}
+
+	streamed := filepath.Join(dir, "streamed.json")
+	err = run([]string{"compile", "-scenario", name, "-stream", "-trace", streamed}, &out)
+	if err == nil || !strings.Contains(err.Error(), "needs a materialized trace") {
+		t.Fatalf("compile -stream -trace: err = %v, want a materialized-trace refusal", err)
+	}
+	if _, err := os.Stat(streamed); !os.IsNotExist(err) {
+		t.Errorf("refused -trace export still touched %s (stat err %v)", streamed, err)
+	}
+}
+
 func TestRunRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name string
@@ -55,6 +103,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"negative zipf exponent", []string{"gen-trace", "-workload", "web", "-zipf", "-200"}},
 		{"describe without inputs", []string{"describe"}},
 		{"describe missing file", []string{"describe", "-trace", "/nonexistent/trace.json"}},
+		{"zero trace nodes", []string{"gen-trace", "-nodes", "0"}},
+		{"zero objects", []string{"gen-trace", "-objects", "0"}},
+		{"zero requests", []string{"gen-trace", "-requests", "0"}},
+		{"zero horizon", []string{"gen-trace", "-horizon", "0"}},
+		{"zero topology nodes", []string{"gen-topology", "-nodes", "0"}},
+		{"inverted hop range", []string{"gen-topology", "-min-hop", "300", "-max-hop", "100"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

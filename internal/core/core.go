@@ -8,8 +8,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
-	"time"
 
 	"wideplace/internal/topology"
 	"wideplace/internal/workload"
@@ -229,32 +227,4 @@ func (in *Instance) originReachable(class *Class, n int) bool {
 	fetch := class.fetchMatrix(in.Topo)
 	o := in.Topo.Origin
 	return fetch[n][o] && in.Topo.Latency[n][o] <= in.Goal.Tlat
-}
-
-// totalReadsF returns per-node read totals as floats.
-func (in *Instance) totalReadsF() []float64 {
-	tot := in.Counts.TotalReads()
-	out := make([]float64, len(tot))
-	for i, v := range tot {
-		out[i] = float64(v)
-	}
-	return out
-}
-
-// almostEqual compares costs with a relative tolerance.
-func almostEqual(a, b, rel float64) bool {
-	return math.Abs(a-b) <= rel*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
-
-// IntervalCount returns the number of intervals a horizon splits into at
-// evaluation interval delta (the remainder forms a final short interval).
-func IntervalCount(horizon, delta time.Duration) int {
-	ni := int(horizon / delta)
-	if time.Duration(ni)*delta < horizon {
-		ni++
-	}
-	if ni == 0 {
-		ni = 1
-	}
-	return ni
 }

@@ -232,16 +232,6 @@ func buildTree(p *Problem) (*tree, error) {
 	return t, nil
 }
 
-// isAncestor reports whether a is v itself or an ancestor of v.
-func (t *tree) isAncestor(a, v int) bool {
-	for u := v; u >= 0; u = t.parent[u] {
-		if u == a {
-			return true
-		}
-	}
-	return false
-}
-
 // supportedCapacity rejects the policy/capacity combinations the solver
 // (and the brute-force oracle) do not model; see Problem.Capacity.
 func supportedCapacity(p *Problem) error {

@@ -221,7 +221,7 @@ func NewSystem(topo *topology.Topology, trace *workload.Trace, delta time.Durati
 
 // Instance builds the MC-PERF instance at one QoS point. The core layer
 // indexes the count tensors directly, so sparse counts (from the
-// streaming aggregators) densify here once; for a solver-sized system the
+// streaming aggregator) densify here once; for a solver-sized system the
 // dense tensor is small whatever the trace volume was.
 func (s *System) Instance(tqos float64) (*core.Instance, error) {
 	return core.NewInstance(s.Topo, s.Counts.Dense(), core.DefaultCost(), core.QoS(tqos, s.Spec.Tlat))

@@ -162,8 +162,7 @@ func init() {
 		experiments.GROUP, 20))
 	// The paper's GROUP instance at its published volume: 16M requests
 	// over 24 hours (Sec. 6). Past the streaming threshold, so compiling
-	// it aggregates counts in one pass and never materializes the trace;
-	// use `workload gen-bin`/`bucket` to persist or replay it.
+	// it aggregates counts in one pass and never materializes the trace.
 	mustRegister(Spec{
 		Name:        "paper20-group-full",
 		Description: "paper 20-node GROUP workload at the full published 16M-request volume (streams)",

@@ -155,6 +155,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		{"tree knob on transit-stub", `{"name":"x","topology":{"model":"transit-stub","depthScale":0.5},"workload":{"model":"web"},"qos":[0.9]}`, "not transit-stub parameters"},
 		{"transit on tree", `{"name":"x","topology":{"model":"tree","transit":4},"workload":{"model":"web"},"qos":[0.9]}`, "not tree parameters"},
 		{"unknown tree shape", `{"name":"x","topology":{"model":"tree","shape":"braided"},"workload":{"model":"web"},"qos":[0.9]}`, "unknown tree shape"},
+		{"inverted hop range", `{"name":"x","topology":{"model":"random-as","minHopMillis":300,"maxHopMillis":100},"workload":{"model":"web"},"qos":[0.9]}`, "exceeds maxHopMillis"},
 		{"qos out of range", `{"name":"x","topology":{"model":"random-as"},"workload":{"model":"web"},"qos":[1.5]}`, "outside (0, 1]"},
 		{"duplicate qos", `{"name":"x","topology":{"model":"random-as"},"workload":{"model":"web"},"qos":[0.9,0.9]}`, "duplicate QoS"},
 		{"unknown class", `{"name":"x","topology":{"model":"random-as"},"workload":{"model":"web"},"qos":[0.9],"classes":["psychic"]}`, "unknown class"},

@@ -276,6 +276,9 @@ func (s *Spec) validateTopology() error {
 			return fmt.Errorf("scenario %s: topology.%s %v must be a finite non-negative number", s.Name, f.name, v)
 		}
 	}
+	if t.MaxHopMillis > 0 && t.MinHopMillis > t.MaxHopMillis {
+		return fmt.Errorf("scenario %s: topology.minHopMillis %g exceeds maxHopMillis %g", s.Name, t.MinHopMillis, t.MaxHopMillis)
+	}
 	if t.ExtraLinks < 0 || t.Transit < 0 || t.Clusters < 0 || t.Origin < 0 || t.Arity < 0 {
 		return fmt.Errorf("scenario %s: topology counts must not be negative", s.Name)
 	}
@@ -315,9 +318,9 @@ func (s *Spec) validateWorkload() error {
 	if w.Objects < 0 || w.Requests < 0 || w.HorizonMillis < 0 || w.HotObjects < 0 || w.Zones < 0 || w.PeriodMillis < 0 {
 		return fmt.Errorf("scenario %s: workload counts must not be negative", s.Name)
 	}
-	// The binary trace format and the streaming aggregator pack ids and
-	// per-cell counts into 32 bits; a spec past this volume could not be
-	// persisted or differentially verified, so reject it up front.
+	// The streaming aggregator's sparse counts hold each per-cell count in
+	// 32 bits; capping the volume at math.MaxInt32 keeps every cell in that
+	// range, so the packing never has to fall back to dense storage.
 	if w.Requests > math.MaxInt32 {
 		return fmt.Errorf("scenario %s: workload.requests %d exceeds the supported maximum %d", s.Name, w.Requests, math.MaxInt32)
 	}

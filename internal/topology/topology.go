@@ -164,6 +164,9 @@ func Generate(opts GenOptions) (*Topology, error) {
 	if opts.N < 2 {
 		return nil, errors.New("topology: Generate needs at least two nodes")
 	}
+	if opts.MinHop < 0 || opts.MaxHop < opts.MinHop {
+		return nil, errors.New("topology: hop latency ranges must satisfy 0 <= min <= max")
+	}
 	rng := xrand.New(opts.Seed)
 	degree := make([]int, opts.N)
 	var links []Link

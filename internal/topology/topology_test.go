@@ -258,3 +258,15 @@ func TestGenerateSmallN(t *testing.T) {
 		t.Error("N=2 generation broken")
 	}
 }
+
+func TestGenerateRejectsBadHopRange(t *testing.T) {
+	for _, opts := range []GenOptions{
+		{N: 5, MinHop: 300, MaxHop: 100},
+		{N: 5, MinHop: 300}, // inverted once MaxHop takes its default of 200
+		{N: 5, MinHop: -10},
+	} {
+		if _, err := Generate(opts); err == nil {
+			t.Errorf("Generate accepted hop range [%g, %g)", opts.MinHop, opts.MaxHop)
+		}
+	}
+}

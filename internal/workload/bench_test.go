@@ -2,22 +2,19 @@ package workload
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
 
-// The trace-pipeline benchmarks compare the three aggregation paths at the
+// The trace-pipeline benchmarks compare the two aggregation paths at the
 // paper's GROUP shape — 20 nodes, 1000 objects, 24h horizon — at a tenth of
 // the published volume and at the full 16M requests:
 //
 //	go test ./internal/workload/ -bench BenchmarkGroup -benchtime 1x
 //
-// Materialized holds the full access slice (the legacy path); Stream
-// aggregates in one pass over bounded chunks; BinRead buckets the on-disk
-// binary format in parallel. ReportAllocs makes the peak-memory story
-// visible as allocated bytes per op.
+// Materialized holds the full access slice; Stream aggregates in one pass
+// over bounded chunks. ReportAllocs makes the peak-memory story visible as
+// allocated bytes per op.
 
 var benchVolumes = []int{1_600_000, 16_000_000}
 
@@ -59,61 +56,6 @@ func BenchmarkGroupStreamCounts(b *testing.B) {
 					b.Fatal(err)
 				}
 				if benchSink, err = st.Counts(time.Hour); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkGroupBinReadBucket(b *testing.B) {
-	for _, requests := range benchVolumes {
-		b.Run(fmt.Sprintf("requests=%d", requests), func(b *testing.B) {
-			opts := benchGroupOptions(requests)
-			st, err := StreamGroup(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			path := filepath.Join(b.TempDir(), "group.trace")
-			stats, err := WriteStreamBin(path, st, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := OpenBin(path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if benchSink, err = r.Counts(time.Hour, 0); err != nil {
-					b.Fatal(err)
-				}
-				if err := r.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(stats.Bytes)
-		})
-	}
-}
-
-func BenchmarkGroupBinWrite(b *testing.B) {
-	for _, requests := range benchVolumes {
-		b.Run(fmt.Sprintf("requests=%d", requests), func(b *testing.B) {
-			opts := benchGroupOptions(requests)
-			dir := b.TempDir()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				st, err := StreamGroup(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				path := filepath.Join(dir, "group.trace")
-				if _, err := WriteStreamBin(path, st, 0); err != nil {
-					b.Fatal(err)
-				}
-				if err := os.Remove(path); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -24,90 +24,6 @@ func (c *Counts) IntervalReads(i int) ([][]int, error) {
 	return out, nil
 }
 
-// ReadDeltaEntry records one changed (node, object) read count between two
-// intervals. Diff is next minus prev.
-type ReadDeltaEntry struct {
-	Node   int `json:"node"`
-	Object int `json:"object"`
-	Diff   int `json:"diff"`
-}
-
-// ReadDelta is the sparse difference between two per-(node, object) read
-// matrices of the same shape. It lists only the cells whose counts moved,
-// which is what the placement controller feeds to its incremental column
-// rebind: cells absent from the delta keep their compiled coefficient.
-type ReadDelta struct {
-	Nodes   int              `json:"nodes"`
-	Objects int              `json:"objects"`
-	Entries []ReadDeltaEntry `json:"entries,omitempty"`
-}
-
-// DiffReads computes the sparse delta that transforms prev into next
-// (both [node][object] read matrices of identical shape), satisfying
-// Apply(DiffReads(prev, next), prev) == next.
-func DiffReads(prev, next [][]int) (*ReadDelta, error) {
-	if len(prev) != len(next) {
-		return nil, fmt.Errorf("workload: delta node counts differ: %d vs %d", len(prev), len(next))
-	}
-	d := &ReadDelta{Nodes: len(prev)}
-	for n := range prev {
-		if len(prev[n]) != len(next[n]) {
-			return nil, fmt.Errorf("workload: delta object counts differ at node %d: %d vs %d", n, len(prev[n]), len(next[n]))
-		}
-		if n == 0 {
-			d.Objects = len(prev[n])
-		} else if len(prev[n]) != d.Objects {
-			return nil, fmt.Errorf("workload: ragged read matrix at node %d", n)
-		}
-		for k := range prev[n] {
-			if diff := next[n][k] - prev[n][k]; diff != 0 {
-				d.Entries = append(d.Entries, ReadDeltaEntry{Node: n, Object: k, Diff: diff})
-			}
-		}
-	}
-	return d, nil
-}
-
-// Apply returns a fresh matrix equal to prev with the delta applied. It
-// rejects shape mismatches and entries that would drive a count negative.
-func (d *ReadDelta) Apply(prev [][]int) ([][]int, error) {
-	if len(prev) != d.Nodes {
-		return nil, fmt.Errorf("workload: delta built for %d nodes, applied to %d", d.Nodes, len(prev))
-	}
-	out := make([][]int, len(prev))
-	backing := make([]int, d.Nodes*d.Objects)
-	for n := range prev {
-		if len(prev[n]) != d.Objects {
-			return nil, fmt.Errorf("workload: delta built for %d objects, node %d has %d", d.Objects, n, len(prev[n]))
-		}
-		out[n], backing = backing[:d.Objects:d.Objects], backing[d.Objects:]
-		copy(out[n], prev[n])
-	}
-	for _, e := range d.Entries {
-		if e.Node < 0 || e.Node >= d.Nodes || e.Object < 0 || e.Object >= d.Objects {
-			return nil, fmt.Errorf("workload: delta entry (%d, %d) out of range", e.Node, e.Object)
-		}
-		out[e.Node][e.Object] += e.Diff
-		if out[e.Node][e.Object] < 0 {
-			return nil, fmt.Errorf("workload: delta drives reads negative at (%d, %d)", e.Node, e.Object)
-		}
-	}
-	return out, nil
-}
-
-// Mass is the total absolute read movement of the delta (sum of |Diff|).
-func (d *ReadDelta) Mass() int {
-	m := 0
-	for _, e := range d.Entries {
-		if e.Diff < 0 {
-			m -= e.Diff
-		} else {
-			m += e.Diff
-		}
-	}
-	return m
-}
-
 // Staleness measures how far a plan computed from the planned demand matrix
 // lagged the realized one: the L1 distance between the two matrices
 // normalized by the realized total. Zero means the plan saw exactly the

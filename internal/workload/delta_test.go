@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"reflect"
 	"testing"
 	"time"
 )
@@ -76,70 +75,6 @@ func TestDriftModelsConserveRequestMass(t *testing.T) {
 				t.Fatalf("per-interval extraction mass %d + %d writes, want %d", perInterval, writes, tc.requests)
 			}
 		})
-	}
-}
-
-// Per-interval deltas must round-trip: apply(delta(w1, w2), w1) == w2 for
-// every consecutive interval pair of both drift models.
-func TestReadDeltaRoundTrip(t *testing.T) {
-	tr, err := GenerateFlashCrowd(FlashCrowdOptions{
-		Nodes: 8, Objects: 10, Requests: 4000, Duration: 8 * time.Hour, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := tr.Bucket(time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := c.IntervalReads(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < c.Intervals; i++ {
-		next, err := c.IntervalReads(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := DiffReads(prev, next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := d.Apply(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, next) {
-			t.Fatalf("interval %d: apply(delta(w1, w2), w1) != w2", i)
-		}
-		prev = next
-	}
-
-	// The empty delta is the identity, and Mass counts absolute movement.
-	d, err := DiffReads(prev, prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Entries) != 0 || d.Mass() != 0 {
-		t.Fatalf("self-delta not empty: %+v", d)
-	}
-}
-
-func TestReadDeltaRejectsShapeMismatch(t *testing.T) {
-	w1 := [][]int{{1, 2}, {3, 4}}
-	w2 := [][]int{{1, 2, 3}, {4, 5, 6}}
-	if _, err := DiffReads(w1, w2); err == nil {
-		t.Fatal("DiffReads accepted mismatched object counts")
-	}
-	d, err := DiffReads(w1, [][]int{{0, 2}, {3, 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Apply([][]int{{1, 2, 3}, {4, 5, 6}}); err == nil {
-		t.Fatal("Apply accepted mismatched shape")
-	}
-	if d.Mass() != 1+5 {
-		t.Fatalf("Mass = %d, want 6", d.Mass())
 	}
 }
 

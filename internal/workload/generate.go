@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"wideplace/internal/xrand"
 )
 
 // WebOptions configures GenerateWeb, the synthetic stand-in for the
@@ -22,7 +20,7 @@ type WebOptions struct {
 	// WriteFraction flags that fraction of accesses as writes during
 	// generation (default 0: a pure read trace). The flags draw from a
 	// dedicated RNG, so the access sequence itself is independent of the
-	// fraction; unlike AddWrites, no second copy of the trace is made.
+	// fraction.
 	WriteFraction float64
 }
 
@@ -136,27 +134,4 @@ func validateExponent(name string, s float64) error {
 		return fmt.Errorf("workload: %s %v must be a finite non-negative number", name, s)
 	}
 	return nil
-}
-
-// AddWrites returns a copy of the trace where a deterministic fraction of
-// accesses (chosen pseudo-randomly by seed) are turned into writes, for
-// the update-cost model extension (paper Sec. 3.2, term delta). It is the
-// tool for traces of external provenance (workload.Read); generated
-// workloads flag writes during generation instead (WriteFraction on the
-// generator options), which avoids doubling peak memory on a second copy.
-func AddWrites(t *Trace, fraction float64, seed uint64) *Trace {
-	rng := xrand.New(seed)
-	out := &Trace{
-		Accesses:   make([]Access, len(t.Accesses)),
-		NumNodes:   t.NumNodes,
-		NumObjects: t.NumObjects,
-		Duration:   t.Duration,
-	}
-	copy(out.Accesses, t.Accesses)
-	for i := range out.Accesses {
-		if rng.Float64() < fraction {
-			out.Accesses[i].Write = true
-		}
-	}
-	return out
 }

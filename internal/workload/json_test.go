@@ -11,7 +11,9 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig = AddWrites(orig, 0.1, 7)
+	for i := range orig.Accesses {
+		orig.Accesses[i].Write = i%10 == 0
+	}
 	var buf bytes.Buffer
 	if err := orig.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -25,6 +27,9 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	}
 	if len(got.Accesses) != len(orig.Accesses) {
 		t.Fatalf("access count %d, want %d", len(got.Accesses), len(orig.Accesses))
+	}
+	if s := Describe(got); s.Writes != 50 || s.Reads != 450 {
+		t.Fatalf("Describe counts %d writes and %d reads, want 50 and 450", s.Writes, s.Reads)
 	}
 	for i := range got.Accesses {
 		a, b := got.Accesses[i], orig.Accesses[i]

@@ -2,7 +2,7 @@ package workload
 
 // Sparse storage for Counts. The WEB family's Zipf tail leaves most
 // (node, interval, object) cells at zero once the object count grows, so
-// the streaming aggregators store the read/write tensors in CSR form —
+// the streaming aggregator stores the read/write tensors in CSR form —
 // one row per (node, interval), ascending column indices — whenever
 // non-zeros occupy at most half the cells (sparseFraction). The dense
 // [][][]int fields stay authoritative for dense Counts, so every existing
@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -343,93 +342,4 @@ func writeUvarints(w io.Writer, vs ...uint64) error {
 		}
 	}
 	return nil
-}
-
-// DecodeCounts reads a canonical binary Counts encoding (EncodeBinary).
-func DecodeCounts(r io.Reader) (*Counts, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < len(countsMagic)+4 {
-		return nil, errors.New("workload: counts encoding truncated")
-	}
-	if string(data[:len(countsMagic)]) != countsMagic {
-		return nil, errors.New("workload: bad counts magic")
-	}
-	body, sum := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(sum) {
-		return nil, errors.New("workload: counts checksum mismatch")
-	}
-	buf := bytes.NewReader(body[len(countsMagic):])
-	dims := make([]uint64, 4)
-	for i := range dims {
-		if dims[i], err = binary.ReadUvarint(buf); err != nil {
-			return nil, fmt.Errorf("workload: counts header: %w", err)
-		}
-	}
-	nodes, intervals, objects := int(dims[0]), int(dims[1]), int(dims[2])
-	const maxDim = 1 << 30
-	if nodes <= 0 || intervals <= 0 || objects <= 0 ||
-		nodes > maxDim || intervals > maxDim || objects > maxDim ||
-		nodes*intervals > maxDim || nodes*intervals*objects > maxDim {
-		return nil, fmt.Errorf("workload: counts dimensions %dx%dx%d out of range", nodes, intervals, objects)
-	}
-	delta := time.Duration(dims[3])
-	if delta <= 0 {
-		return nil, errors.New("workload: counts delta must be positive")
-	}
-	reads, err := decodeTensor(buf, nodes, intervals, objects)
-	if err != nil {
-		return nil, err
-	}
-	writes, err := decodeTensor(buf, nodes, intervals, objects)
-	if err != nil {
-		return nil, err
-	}
-	if buf.Len() != 0 {
-		return nil, errors.New("workload: trailing data in counts encoding")
-	}
-	return packCounts(nodes, intervals, objects, delta, reads, writes), nil
-}
-
-func decodeTensor(r *bytes.Reader, nodes, intervals, objects int) ([][][]int, error) {
-	out := alloc3(nodes, intervals, objects)
-	for n := 0; n < nodes; n++ {
-		for i := 0; i < intervals; i++ {
-			nnz, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, fmt.Errorf("workload: counts row (%d,%d): %w", n, i, err)
-			}
-			if nnz > uint64(objects) {
-				return nil, fmt.Errorf("workload: counts row (%d,%d) claims %d cells of %d", n, i, nnz, objects)
-			}
-			col := 0
-			for j := uint64(0); j < nnz; j++ {
-				dk, err := binary.ReadUvarint(r)
-				if err != nil {
-					return nil, fmt.Errorf("workload: counts cell: %w", err)
-				}
-				v, err := binary.ReadUvarint(r)
-				if err != nil {
-					return nil, fmt.Errorf("workload: counts cell: %w", err)
-				}
-				if j > 0 && dk == 0 {
-					return nil, errors.New("workload: counts columns not ascending")
-				}
-				if dk > uint64(objects) {
-					return nil, fmt.Errorf("workload: counts column delta %d out of range", dk)
-				}
-				col += int(dk)
-				if col >= objects {
-					return nil, fmt.Errorf("workload: counts column %d out of range", col)
-				}
-				if v == 0 || v > math.MaxInt32 {
-					return nil, fmt.Errorf("workload: counts value %d out of range", v)
-				}
-				out[n][i][col] = int(v)
-			}
-		}
-	}
-	return out, nil
 }

@@ -19,7 +19,7 @@ import (
 	"wideplace/internal/xrand"
 )
 
-// streamChunk is the bounded buffer size used by the one-pass aggregators.
+// streamChunk is the bounded buffer size used by the one-pass aggregator.
 // 64K accesses x 32 bytes = 2 MiB regardless of trace length.
 const streamChunk = 1 << 16
 
@@ -200,9 +200,7 @@ func writeRNG(seed uint64, fraction float64) *xrand.Rand {
 }
 
 // flagWrite draws once per access, in generation order, and marks the
-// access as a write when the draw lands under the fraction. This replaces
-// the AddWrites copy pass for generated workloads: no second trace is
-// allocated and peak memory stays at one representation.
+// access as a write when the draw lands under the fraction.
 func flagWrite(a *Access, wrng *xrand.Rand, fraction float64) {
 	if wrng != nil && wrng.Float64() < fraction {
 		a.Write = true

@@ -78,12 +78,11 @@ func sortAccesses(a []Access) {
 // read_nik of the paper), and likewise Writes.
 //
 // Counts built by Trace.Bucket or by struct literal are always dense
-// (Reads/Writes populated). The streaming aggregators (Stream.Counts,
-// BinReader.Counts) may instead store the tensors in CSR form when zeros
-// dominate — see sparse.go — in which case Reads/Writes are nil and access
-// goes through ReadCount/WriteCount or Dense(). JSON round trips, the
-// canonical binary encoding and the accessor methods are representation-
-// independent.
+// (Reads/Writes populated). The streaming aggregator (Stream.Counts) may
+// instead store the tensors in CSR form when zeros dominate — see
+// sparse.go — in which case Reads/Writes are nil and access goes through
+// ReadCount/WriteCount or Dense(). JSON round trips, the canonical binary
+// encoding and the accessor methods are representation-independent.
 type Counts struct {
 	Reads     [][][]int
 	Writes    [][][]int

@@ -314,23 +314,3 @@ func TestReassign(t *testing.T) {
 		t.Error("assignment to non-open site accepted")
 	}
 }
-
-func TestAddWrites(t *testing.T) {
-	tr, err := GenerateWeb(WebOptions{Nodes: 3, Objects: 10, Requests: 2000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := AddWrites(tr, 0.25, 9)
-	s := Describe(w)
-	if s.Writes == 0 || s.Reads == 0 {
-		t.Fatalf("writes = %d, reads = %d: expected a mix", s.Writes, s.Reads)
-	}
-	frac := float64(s.Writes) / float64(s.Requests)
-	if frac < 0.15 || frac > 0.35 {
-		t.Errorf("write fraction = %g, want ~0.25", frac)
-	}
-	// Original trace untouched.
-	if Describe(tr).Writes != 0 {
-		t.Error("AddWrites mutated its input")
-	}
-}
