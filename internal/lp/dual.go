@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // dualReoptimize is the warm-restart fast path: a dual simplex pass run
@@ -57,14 +58,19 @@ func (s *simplex) dualReoptimize() error {
 		if s.dDirty || s.dAge >= devexRefreshEvery {
 			s.refreshD(false)
 		}
-		// Leaving row: the basic with the largest bound violation.
+		// Leaving row: the basic with the largest bound violation, first
+		// in position order among equals. Only violated positions can
+		// exceed the tolerance.
 		r, worst, above := -1, tol, false
-		for i, q := range s.basis {
-			v := s.xB[i]
-			if lo := s.p.lo[q]; v < lo-worst {
-				r, worst, above = i, lo-v, false
-			} else if hi := s.p.hi[q]; v > hi+worst {
-				r, worst, above = i, v-hi, true
+		for wi, w := range s.viol {
+			for ; w != 0; w &= w - 1 {
+				i := wi<<6 | bits.TrailingZeros64(w)
+				q, v := s.basis[i], s.xB[i]
+				if lo := s.p.lo[q]; v < lo-worst {
+					r, worst, above = i, lo-v, false
+				} else if hi := s.p.hi[q]; v > hi+worst {
+					r, worst, above = i, v-hi, true
+				}
 			}
 		}
 		if r < 0 {
@@ -72,30 +78,7 @@ func (s *simplex) dualReoptimize() error {
 		}
 		// Pivot row alpha = e_r^T B^-1 A, gathered sparsely over the CSR
 		// copy exactly as the devex weight update does.
-		for i := range s.beta {
-			s.beta[i] = 0
-		}
-		s.beta[r] = 1
-		s.fac.Btran(s.beta)
-		s.alphaMark++
-		mark := s.alphaMark
-		pat := s.alphaPat[:0]
-		for row := 0; row < s.m; row++ {
-			br := s.beta[row]
-			if br == 0 {
-				continue
-			}
-			for e := s.rowPtr[row]; e < s.rowPtr[row+1]; e++ {
-				j := s.rowCol[e]
-				if s.alphaFlag[j] != mark {
-					s.alphaFlag[j] = mark
-					s.alpha[j] = 0
-					pat = append(pat, j)
-				}
-				s.alpha[j] += br * s.rowVal[e]
-			}
-		}
-		s.alphaPat = pat
+		pat := s.pivotRow(r)
 		// Dual ratio test. sigma orients the pivot row so that an eligible
 		// entering move pushes xB[r] toward its violated bound: a column at
 		// its lower bound moves up and needs sigma*alpha > 0, one at its
@@ -151,14 +134,7 @@ func (s *simplex) dualReoptimize() error {
 			return nil
 		}
 		// FTRAN the entering column; its image at r is the pivot element.
-		for i := range s.w {
-			s.w[i] = 0
-		}
-		ri, rv := s.p.cols.Col(q)
-		for k, row := range ri {
-			s.w[row] = rv[k]
-		}
-		s.fac.Ftran(s.w)
+		s.ftranColumn(q)
 		aq := s.w[r]
 		if abs(aq) <= piv {
 			return nil // numerically degraded pivot: leave it to the primal path
@@ -178,11 +154,10 @@ func (s *simplex) dualReoptimize() error {
 		// Primal update: basics move against the entering column's image;
 		// the entering variable absorbs the step (it may overshoot its own
 		// far bound — then it simply becomes the next leaving candidate).
-		for i := range s.xB {
-			if s.w[i] != 0 {
-				s.xB[i] -= step * s.w[i]
-				s.x[s.basis[i]] = s.xB[i]
-			}
+		for _, i := range s.wPat {
+			s.xB[i] -= step * s.w[i]
+			s.x[s.basis[i]] = s.xB[i]
+			s.trackViolation(int(i))
 		}
 		leave := s.basis[r]
 		leaveStatus, leaveX := s.status[q], s.x[q]
@@ -197,6 +172,7 @@ func (s *simplex) dualReoptimize() error {
 		s.xB[r] = s.x[q]
 		s.basis[r] = q
 		s.status[q] = basic
+		s.trackViolation(r)
 		// Reduced-cost cache update: identical algebra to a primal pivot
 		// (the duals move by rate times the pivot row of B^-1).
 		if !s.dDirty {
@@ -226,14 +202,15 @@ func (s *simplex) dualReoptimize() error {
 					return err
 				}
 				// The pivoted basis has no usable factorization. Undo the
-				// pivot, restore the previous (factorable) basis and hand
+				// pivot, refactorize the previous basis (repairing it if it
+				// was factorable only through the update chain) and hand
 				// the solve to the primal path, whose shunning machinery
 				// knows how to route around the column.
 				s.basis[r] = leave
 				s.status[leave] = basic
 				s.status[q] = leaveStatus
 				s.x[q] = leaveX
-				if err := s.fac.Factor(s.p.cols, s.basis); err != nil {
+				if err := s.factorRepair(); err != nil {
 					return fmt.Errorf("lp: refactorizing restored basis: %w", err)
 				}
 				s.stats.Refactorizations++

@@ -1,5 +1,7 @@
 package lp
 
+import "math"
+
 // The simplex prices entering columns with reference-framework devex
 // weights: each candidate's reduced cost is normalized by an evolving
 // estimate of its steepest-edge norm, which steers the solver away from the
@@ -22,6 +24,7 @@ const devexRefreshEvery = 100
 func (s *simplex) initDevex() {
 	s.gamma = make([]float64, s.n)
 	s.beta = make([]float64, s.m)
+	s.betaPat = make([]int32, 0, s.m)
 	s.d = make([]float64, s.n)
 	s.dDirty = true
 	s.alpha = make([]float64, s.n)
@@ -96,35 +99,74 @@ func (s *simplex) resetDevex() {
 // up dry. Optimality is unaffected —
 // "no entering column" is only ever reported after a full dry sweep (and
 // loop() re-certifies that against freshly rebuilt reduced costs).
-func (s *simplex) devexPrice(phase1 bool) (entering int, dir float64) {
-	tol := s.opts.Tol
+func (s *simplex) devexPrice() (entering int, dir float64) {
 	section := s.opts.SectionSize
 	if section < 0 {
 		section = s.n
 	}
-	bestJ, bestRank, bestDir := -1, 0.0, 0.0
+	best, bestRank := -1, 0.0
 	scanned := 0
 	j := s.priceStart % s.n
 	for scanned < s.n {
-		if sc, dj := s.score(j, phase1); sc > tol {
-			if rank := sc * sc / s.gamma[j]; rank > bestRank {
-				bestJ, bestRank, bestDir = j, rank, dj
+		// One window, split where it wraps past the last column.
+		for left := min(section, s.n-scanned); left > 0; {
+			run := min(left, s.n-j)
+			best, bestRank = s.priceRun(j, j+run, best, bestRank)
+			j += run
+			left -= run
+			scanned += run
+			if j == s.n {
+				j = 0
 			}
 		}
-		scanned++
-		j++
-		if j == s.n {
-			j = 0
-		}
-		if scanned%section == 0 && bestJ >= 0 {
+		if best >= 0 {
 			break
 		}
 	}
-	if bestJ >= 0 {
-		s.priceStart = j
-	}
 	s.stats.PricingScans += int64(scanned)
-	return bestJ, bestDir
+	if best < 0 {
+		return -1, 0
+	}
+	s.priceStart = j
+	if st := s.status[best]; st == nonbasicLower || st == nonbasicFree && s.d[best] < 0 {
+		return best, 1
+	}
+	return best, -1
+}
+
+// priceSign turns a reduced cost into an improvement score by column
+// status: a column at its lower bound improves the objective by rising
+// (d_j < 0), one at its upper bound by falling (d_j > 0), and a basic
+// column scores 0. A free column moves either way; priceRun scores it
+// |d_j|.
+var priceSign = [...]float64{nonbasicLower: -1, nonbasicUpper: 1, nonbasicFree: 1, basic: 0}
+
+// priceRun ranks the columns lo..hi-1 against the best so far and returns
+// the new best. A column is eligible when its score exceeds the tolerance
+// and it is not shunned, and it wins on a strictly larger d_j^2 / gamma_j,
+// so the first of equal ranks in scan order is kept. The score is a
+// per-status sign table lookup and one multiply, so the loop branches on
+// eligibility and rank but not on the status (apart from free columns,
+// which MC-PERF never has).
+func (s *simplex) priceRun(lo, hi, best int, bestRank float64) (int, float64) {
+	tol := s.opts.Tol
+	d := s.d[lo:hi]
+	gamma, status := s.gamma[lo:hi], s.status[lo:hi]
+	gamma, status = gamma[:len(d)], status[:len(d)]
+	for k, dk := range d {
+		st := status[k]
+		sc := dk * priceSign[st&3] // st < 4; the mask drops the bounds check
+		if st == nonbasicFree {
+			sc = math.Abs(dk)
+		}
+		if sc <= tol {
+			continue
+		}
+		if rank := sc * sc / gamma[k]; rank > bestRank && !(s.anyShun && s.shunStamp[lo+k] == s.shunGen) {
+			best, bestRank = lo+k, rank
+		}
+	}
+	return best, bestRank
 }
 
 // devexUpdate refreshes the weights and the reduced-cost cache after a
@@ -150,31 +192,7 @@ func (s *simplex) devexUpdate(q, pos, leave int, leaveShift float64) {
 		s.dDirty = true
 		return
 	}
-	// beta = e_pos^T B^-1: the pivot row of the pre-pivot basis inverse.
-	for i := range s.beta {
-		s.beta[i] = 0
-	}
-	s.beta[pos] = 1
-	s.fac.Btran(s.beta)
-	s.alphaMark++
-	mark := s.alphaMark
-	pat := s.alphaPat[:0]
-	for r := 0; r < s.m; r++ {
-		br := s.beta[r]
-		if br == 0 {
-			continue
-		}
-		for e := s.rowPtr[r]; e < s.rowPtr[r+1]; e++ {
-			j := s.rowCol[e]
-			if s.alphaFlag[j] != mark {
-				s.alphaFlag[j] = mark
-				s.alpha[j] = 0
-				pat = append(pat, j)
-			}
-			s.alpha[j] += br * s.rowVal[e]
-		}
-	}
-	s.alphaPat = pat
+	pat := s.pivotRow(pos)
 	scale := s.gamma[q] / (aq * aq)
 	updateD := !s.dDirty
 	var rate float64
@@ -227,6 +245,47 @@ func (s *simplex) devexUpdate(q, pos, leave int, leaveShift float64) {
 	}
 }
 
+// pivotRow gathers the pivot row alpha = beta^T A of basis position pos,
+// where beta = e_pos^T B^-1 is the row of the (current) basis inverse,
+// into the stamped scratch alpha and returns its pattern. BTRAN returns
+// beta's nonzero rows in ascending order, and the gather walks only those
+// rows through the CSR copy, so each alpha_j sums its terms in ascending
+// row order.
+func (s *simplex) pivotRow(pos int) []int32 {
+	s.unit[0] = int32(pos)
+	s.betaPat = s.btranSparse(s.unit[:], unitVal[:])
+	s.alphaMark++
+	mark := s.alphaMark
+	pat := s.alphaPat[:0]
+	for _, r := range s.betaPat {
+		br := s.beta[r]
+		for e := s.rowPtr[r]; e < s.rowPtr[r+1]; e++ {
+			j := s.rowCol[e]
+			if s.alphaFlag[j] != mark {
+				s.alphaFlag[j] = mark
+				s.alpha[j] = 0
+				pat = append(pat, j)
+			}
+			s.alpha[j] += br * s.rowVal[e]
+		}
+	}
+	s.alphaPat = pat
+	return pat
+}
+
+// unitVal is the value of the unit vector a pivot-row BTRAN solves for.
+var unitVal = [1]float64{1}
+
+// btranSparse solves B^T*beta = c for the sparse c given by idx and val,
+// clearing the previous beta over its pattern first, and returns beta's
+// nonzero positions in ascending order.
+func (s *simplex) btranSparse(idx []int32, val []float64) []int32 {
+	for _, i := range s.betaPat {
+		s.beta[i] = 0
+	}
+	return s.fac.BtranSparse(idx, val, s.beta, s.betaPat[:0])
+}
+
 // applyCostCorrection folds a sparse basic-cost change into the
 // reduced-cost cache: with the basic costs shifted by the recorded band
 // deltas, the duals shift by v = B^-T delta and every reduced cost by
@@ -235,18 +294,9 @@ func (s *simplex) devexUpdate(q, pos, leave int, leaveShift float64) {
 // entries pick up a nonzero here, but those entries are never read: basic
 // columns price as 0 and d[leave] is set outright when one leaves.
 func (s *simplex) applyCostCorrection() {
-	for i := range s.beta {
-		s.beta[i] = 0
-	}
-	for k, i := range s.flipPos {
-		s.beta[i] = s.flipDelta[k]
-	}
-	s.fac.Btran(s.beta)
-	for r := 0; r < s.m; r++ {
+	s.betaPat = s.btranSparse(s.flipPos, s.flipDelta)
+	for _, r := range s.betaPat {
 		vr := s.beta[r]
-		if vr == 0 {
-			continue
-		}
 		for e := s.rowPtr[r]; e < s.rowPtr[r+1]; e++ {
 			s.d[s.rowCol[e]] -= vr * s.rowVal[e]
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -109,6 +110,12 @@ type simplex struct {
 	basis  []int     // column basic in each row position
 	x      []float64 // current value of every column
 	xB     []float64 // values of basic columns (mirror of x at basis positions)
+	// viol marks the basis positions whose value lies outside its column's
+	// bounds, kept in step with every write to xB or basis, so the
+	// infeasibility sum and the dual pass's leaving-row search visit only
+	// the violated positions (in ascending order, as a scan of every row
+	// would add them).
+	viol bitset
 
 	cB []float64 // basic cost vector for the current phase
 	// comp weights the true objective into the phase-1 cost vector
@@ -124,6 +131,7 @@ type simplex struct {
 	p1band []float64
 	y      []float64 // duals scratch
 	w      []float64 // FTRAN image of the entering column
+	wPat   []int32   // w's nonzero positions, ascending
 	rhs0   []float64 // scratch for -N*xN
 
 	iter       int
@@ -132,8 +140,10 @@ type simplex struct {
 	priceStart int
 	warm       bool // solve was seeded from Options.Start
 
-	gamma []float64 // devex weight per column
-	beta  []float64 // scratch for the pivot row of B^-1
+	gamma   []float64 // devex weight per column
+	beta    []float64 // scratch for the pivot row of B^-1
+	betaPat []int32   // beta's nonzero positions, ascending
+	unit    [1]int32  // position of the unit vector a pivot-row BTRAN solves for
 
 	// Devex reduced-cost cache: d_j maintained incrementally across pivots
 	// (d'_j = d_j - (d_q/alpha_q) alpha_j over the pivot row's pattern)
@@ -187,10 +197,12 @@ func newSimplex(p *Problem, opts Options) *simplex {
 		basis:  make([]int, m),
 		x:      make([]float64, n),
 		xB:     make([]float64, m),
+		viol:   newBitset(m),
 		cB:     make([]float64, m),
 		p1band: make([]float64, m),
 		y:      make([]float64, m),
 		w:      make([]float64, m),
+		wPat:   make([]int32, 0, m),
 		rhs0:   make([]float64, m),
 		fac:    NewSparseFactor(0),
 	}
@@ -222,14 +234,7 @@ func (s *simplex) solve() (*Solution, error) {
 	// columns rest at their crash bounds.
 	if b := s.opts.Start; b.compatibleWith(s.p) {
 		s.installBasis(b)
-		swaps, err := s.fac.FactorRepair(s.p.cols, s.basis)
-		for _, sw := range swaps {
-			s.status[sw.old] = s.startStatus(sw.old)
-			s.x[sw.old] = s.startValue(sw.old)
-			s.status[s.basis[sw.pos]] = basic
-			s.stats.BasisRepairs++
-		}
-		s.warm = err == nil
+		s.warm = s.factorRepair() == nil
 	}
 	if !s.warm {
 		s.installCrashBasis()
@@ -284,6 +289,21 @@ func (s *simplex) solve() (*Solution, error) {
 		return nil, err
 	}
 	return s.buildSolution(), nil
+}
+
+// factorRepair factorizes the current basis through FactorRepair: a
+// dependent basis position takes the slack of an unpivoted row, and the
+// column it displaces is rebooked at its crash bound. The caller
+// recomputes the basic values.
+func (s *simplex) factorRepair() error {
+	swaps, err := s.fac.FactorRepair(s.p.cols, s.basis)
+	for _, sw := range swaps {
+		s.status[sw.old] = s.startStatus(sw.old)
+		s.x[sw.old] = s.startValue(sw.old)
+		s.status[s.basis[sw.pos]] = basic
+		s.stats.BasisRepairs++
+	}
+	return err
 }
 
 // checkInterrupt polls the context and the wall-clock deadline. The
@@ -397,18 +417,34 @@ func (s *simplex) recomputeXB() {
 	copy(s.xB, s.rhs0)
 	for i, q := range s.basis {
 		s.x[q] = s.xB[i]
+		s.trackViolation(i)
 	}
 }
 
-// infeasibility returns the total bound violation of the basic variables.
+// trackViolation records whether basis position i's value violates its
+// column's bounds.
+func (s *simplex) trackViolation(i int) {
+	q, v := s.basis[i], s.xB[i]
+	if v < s.p.lo[q] || v > s.p.hi[q] {
+		s.viol.add(i)
+	} else {
+		s.viol.remove(i)
+	}
+}
+
+// infeasibility returns the total bound violation of the basic variables,
+// summed in ascending position order over the violated positions.
 func (s *simplex) infeasibility() float64 {
 	sum := 0.0
-	for i, q := range s.basis {
-		v := s.xB[i]
-		if lo := s.p.lo[q]; v < lo {
-			sum += lo - v
-		} else if hi := s.p.hi[q]; v > hi {
-			sum += v - hi
+	for wi, w := range s.viol {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			q, v := s.basis[i], s.xB[i]
+			if lo := s.p.lo[q]; v < lo {
+				sum += lo - v
+			} else if hi := s.p.hi[q]; v > hi {
+				sum += v - hi
+			}
 		}
 	}
 	return sum
@@ -520,7 +556,7 @@ func (s *simplex) price(phase1 bool) (entering int, dir float64) {
 		s.stats.PricingScans += int64(s.n)
 		return -1, 0
 	}
-	return s.devexPrice(phase1)
+	return s.devexPrice()
 }
 
 // ratioEvent describes a blocking event of the ratio test.
@@ -532,7 +568,8 @@ type ratioEvent struct {
 }
 
 // ratioTest scans the FTRAN image w for the first blocking event when the
-// entering variable q moves in direction dir.
+// entering variable q moves in direction dir. It walks w's nonzeros in
+// ascending position order, so ties break as in a scan of every row.
 func (s *simplex) ratioTest(q int, dir float64, phase1 bool) (ratioEvent, bool) {
 	tol := s.opts.Tol
 	piv := s.opts.PivTol
@@ -541,7 +578,8 @@ func (s *simplex) ratioTest(q int, dir float64, phase1 bool) (ratioEvent, bool) 
 	if rng := s.p.hi[q] - s.p.lo[q]; !math.IsInf(rng, 1) {
 		best = ratioEvent{t: rng, pos: -1}
 	}
-	for i := range s.w {
+	for _, i32 := range s.wPat {
+		i := int(i32)
 		wi := s.w[i]
 		if abs(wi) <= piv {
 			continue
@@ -631,15 +669,7 @@ func (s *simplex) loop(phase1 bool) error {
 			}
 			return nil // optimal for this phase
 		}
-		// FTRAN the entering column.
-		for i := range s.w {
-			s.w[i] = 0
-		}
-		ri, rv := s.p.cols.Col(q)
-		for k, r := range ri {
-			s.w[r] = rv[k]
-		}
-		s.fac.Ftran(s.w)
+		s.ftranColumn(q)
 
 		ev, ok := s.ratioTest(q, dir, phase1)
 		if !ok {
@@ -683,25 +713,25 @@ func (s *simplex) loop(phase1 bool) error {
 		trackFlips := phase1 && !s.dDirty
 		s.flipPos, s.flipDelta = s.flipPos[:0], s.flipDelta[:0]
 		tol := s.opts.Tol
-		for i := range s.xB {
-			if s.w[i] != 0 {
-				s.xB[i] -= step * s.w[i]
-				s.x[s.basis[i]] = s.xB[i]
-				if trackFlips && i != ev.pos {
-					qi, v := s.basis[i], s.xB[i]
-					band := 0.0
-					switch {
-					case v < s.p.lo[qi]-tol:
-						band = -1
-					case v > s.p.hi[qi]+tol:
-						band = 1
-					}
-					if band != s.p1band[i] {
-						s.flipPos = append(s.flipPos, int32(i))
-						s.flipDelta = append(s.flipDelta, band-s.p1band[i])
-						s.cB[i] += band - s.p1band[i]
-						s.p1band[i] = band
-					}
+		for _, i32 := range s.wPat {
+			i := int(i32)
+			s.xB[i] -= step * s.w[i]
+			s.x[s.basis[i]] = s.xB[i]
+			s.trackViolation(i)
+			if trackFlips && i != ev.pos {
+				qi, v := s.basis[i], s.xB[i]
+				band := 0.0
+				switch {
+				case v < s.p.lo[qi]-tol:
+					band = -1
+				case v > s.p.hi[qi]+tol:
+					band = 1
+				}
+				if band != s.p1band[i] {
+					s.flipPos = append(s.flipPos, int32(i))
+					s.flipDelta = append(s.flipDelta, band-s.p1band[i])
+					s.cB[i] += band - s.p1band[i]
+					s.p1band[i] = band
 				}
 			}
 		}
@@ -737,6 +767,7 @@ func (s *simplex) loop(phase1 bool) error {
 		s.xB[ev.pos] = s.x[q]
 		s.basis[ev.pos] = q
 		s.status[q] = basic
+		s.trackViolation(ev.pos)
 		// The pivot position swaps costs: the leaving column's band
 		// (cB[ev.pos]) drops to 0 as it exits to a feasible bound — a direct
 		// shift of d[leave], since leave is nonbasic now — and the entering
@@ -788,15 +819,17 @@ func (s *simplex) loop(phase1 bool) error {
 				// entering column is numerically dependent on the rest of
 				// the basis, and its acceptable ratio-test pivot existed
 				// only through round-off. Undo the pivot, refactorize the
-				// previous basis (known good) and shun the column until the
-				// next successful pivot changes the basis. The devex
-				// weights keep their post-pivot values; they are heuristic
-				// and self-correct.
+				// previous basis and shun the column until the next
+				// successful pivot changes the basis. The previous basis
+				// may have been factorable only through the update chain,
+				// so the refactorization repairs it as a warm start is
+				// repaired. The devex weights keep their post-pivot
+				// values; they are heuristic and self-correct.
 				s.basis[ev.pos] = leave
 				s.status[leave] = basic
 				s.status[q] = qStatus
 				s.x[q] = qX
-				if err := s.fac.Factor(s.p.cols, s.basis); err != nil {
+				if err := s.factorRepair(); err != nil {
 					return fmt.Errorf("lp: refactorizing restored basis: %w", err)
 				}
 				s.stats.Refactorizations++
@@ -827,6 +860,16 @@ func (s *simplex) loop(phase1 bool) error {
 			s.anyShun = false
 		}
 	}
+}
+
+// ftranColumn solves B*w = a_q for the entering column q, clearing the
+// previous image over its pattern first.
+func (s *simplex) ftranColumn(q int) {
+	for _, i := range s.wPat {
+		s.w[i] = 0
+	}
+	ri, rv := s.p.cols.Col(q)
+	s.wPat = s.fac.FtranSparse(ri, rv, s.w, s.wPat[:0])
 }
 
 // shunColumn excludes column q from pricing until the next successful

@@ -1,5 +1,7 @@
 package lp
 
+import "math/bits"
+
 // SparseFactor is the simplex's basis factorization: a sparse LU with
 // Forrest-Tomlin basis updates. The simplex uses it through FTRAN (solve
 // B*x = b), BTRAN (solve B^T*y = c) and an incremental Update when one
@@ -18,16 +20,21 @@ type SparseFactor struct {
 	lu *sparseLU // L (static between refactorizations) and the permutations
 	u  ftU       // editable U with the Forrest-Tomlin machinery
 
-	m    int
-	tmp  []float64 // factor-coordinate scratch for Ftran
-	btmp []float64 // separate scratch for Btran, keeps the Ftran record intact
+	m int
+	// Solve scratch, all zero between calls: tmp holds the vector in
+	// factor coordinates, list the positions a solve has touched, set and
+	// out order them (positions in [0, m)).
+	tmp  []float64
+	list []int32
+	set  bitset
+	out  bitset
 
 	maxEtas int
 	pivTol  float64
 
-	// Record of the most recent Ftran result in factor coordinates.
-	// Update consumes it to read the entering column's image sparsely
-	// instead of scanning all m entries of w; see Ftran and gatherImage.
+	// Record of the most recent Ftran result in factor coordinates,
+	// ascending. Update consumes it to read the entering column's image
+	// sparsely instead of scanning all m entries of w; see gatherImage.
 	lastPat []int32
 	lastVal []float64
 	lastOK  bool
@@ -44,10 +51,13 @@ func NewSparseFactor(maxEtas int) *SparseFactor {
 }
 
 // Factor (re)factorizes the basis given by the m column indices in basis,
-// drawing columns from the problem matrix a.
+// drawing columns from the problem matrix a. The new factors reuse the old
+// ones' storage, so after an error no factorization is held until the next
+// successful call.
 func (s *SparseFactor) Factor(a *CSC, basis []int) error {
-	lu, _, err := luFactor(a, basis, s.pivTol, false)
+	lu, _, err := luFactor(a, basis, s.pivTol, false, s.lu)
 	if err != nil {
+		s.lu = nil
 		return err
 	}
 	s.install(lu, len(basis))
@@ -60,8 +70,9 @@ func (s *SparseFactor) Factor(a *CSC, basis []int) error {
 // basis is patched in place and the swaps are reported so the caller can
 // rebook the displaced columns at a bound.
 func (s *SparseFactor) FactorRepair(a *CSC, basis []int) ([]basisSwap, error) {
-	lu, swaps, err := luFactor(a, basis, s.pivTol, true)
+	lu, swaps, err := luFactor(a, basis, s.pivTol, true, s.lu)
 	if err != nil {
+		s.lu = nil
 		return swaps, err
 	}
 	s.install(lu, len(basis))
@@ -70,54 +81,189 @@ func (s *SparseFactor) FactorRepair(a *CSC, basis []int) ([]basisSwap, error) {
 
 func (s *SparseFactor) install(lu *sparseLU, m int) {
 	s.lu = lu
-	s.m = m
-	if cap(s.tmp) < s.m {
-		s.tmp = make([]float64, s.m)
-		s.btmp = make([]float64, s.m)
+	if m != s.m || s.tmp == nil {
+		s.tmp = make([]float64, m)
+		s.list = make([]int32, 0, m)
+		s.set = newBitset(m)
+		s.out = newBitset(m)
+		s.lastPat = make([]int32, 0, m)
+		s.lastVal = make([]float64, 0, m)
 	}
+	s.m = m
 	s.u.init(lu)
 	s.lastOK = false
 }
 
-// Ftran solves B*x = b in place (b has length m). The solve runs in
-// factor coordinates — permute, L solve, Forrest-Tomlin row etas, ordered
-// U solve, permute back — and records the result's nonzero pattern (in
-// factor coordinates) for the Update that may follow.
+// Ftran solves B*x = b in place (b has length m; every entry is read).
 func (s *SparseFactor) Ftran(b []float64) {
-	lu, m := s.lu, s.m
-	tmp := s.tmp[:m]
-	for i := 0; i < m; i++ {
-		tmp[lu.pinv[i]] = b[i]
-	}
-	lu.lsolve(tmp)
-	s.u.applyEtasFtran(tmp)
-	s.u.usolve(tmp)
-	pat, val := s.lastPat[:0], s.lastVal[:0]
-	for k := 0; k < m; k++ {
-		v := tmp[k]
-		b[lu.q[k]] = v
+	pinv := s.lu.pinv
+	for i, v := range b {
+		b[i] = 0
 		if v != 0 {
+			k := pinv[i]
+			s.tmp[k] = v
+			s.set.add(k)
+		}
+	}
+	s.ftran(b).clear()
+}
+
+// FtranSparse solves B*x = a for the column a whose nonzeros sit at rows
+// idx with values val, writing x into w, which must be all zero. It
+// returns pat with the positions of x's nonzeros appended in ascending
+// order. The work is proportional to the nonzeros the solve produces, not
+// to m.
+func (s *SparseFactor) FtranSparse(idx []int, val []float64, w []float64, pat []int32) []int32 {
+	pinv := s.lu.pinv
+	for e, i := range idx {
+		if v := val[e]; v != 0 {
+			k := pinv[i]
+			s.tmp[k] = v
+			s.set.add(k)
+		}
+	}
+	return s.ftran(w).drain(pat)
+}
+
+// ftran runs FTRAN in factor coordinates on the input scattered into tmp
+// and marked in set — L solve, Forrest-Tomlin row etas, ordered U solve —
+// then moves the result into x (basis positions, all zero) and returns out
+// holding x's nonzero positions. It leaves tmp all zero and records the
+// result for the Update that may follow.
+func (s *SparseFactor) ftran(x []float64) bitset {
+	lu, tmp := s.lu, s.tmp
+	list := lu.lsolve(tmp, s.set, s.list[:0])
+	list = s.u.applyEtasFtran(tmp, list)
+	list = s.u.usolve(tmp, list)
+	for _, k := range list {
+		if tmp[k] != 0 {
+			s.set.add(int(k))
+		} else {
+			tmp[k] = 0
+		}
+	}
+	s.list = list
+	pat, val := s.lastPat[:0], s.lastVal[:0]
+	for wi := range s.set {
+		for s.set[wi] != 0 {
+			k := s.set.popMin(wi)
+			v := tmp[k]
+			tmp[k] = 0
 			pat = append(pat, int32(k))
 			val = append(val, v)
+			i := lu.q[k]
+			x[i] = v
+			s.out.add(i)
 		}
 	}
 	s.lastPat, s.lastVal = pat, val
 	s.lastOK = true
+	return s.out
 }
 
-// Btran solves B^T*y = c in place (c has length m).
+// Btran solves B^T*y = c in place (c has length m; every entry is read).
 func (s *SparseFactor) Btran(c []float64) {
-	lu, m := s.lu, s.m
-	tmp := s.btmp[:m]
-	for k := 0; k < m; k++ {
-		tmp[k] = c[lu.q[k]]
+	qinv, list := s.lu.qinv, s.list[:0]
+	for i, v := range c {
+		c[i] = 0
+		if v != 0 {
+			k := qinv[i]
+			s.tmp[k] = v
+			list = append(list, int32(k))
+		}
 	}
-	s.u.utsolve(tmp)
-	s.u.applyEtasBtran(tmp)
-	lu.ltsolve(tmp)
-	for i := 0; i < m; i++ {
-		c[i] = tmp[lu.pinv[i]]
+	s.list = list
+	s.btran(c).clear()
+}
+
+// BtranSparse solves B^T*y = c for the c whose nonzeros sit at positions
+// idx (distinct) with values val, writing the solution into y, which must
+// be all zero. It returns pat with the positions of y's nonzeros appended in
+// ascending order. The work is proportional to the nonzeros the solve
+// produces, not to m.
+func (s *SparseFactor) BtranSparse(idx []int32, val []float64, y []float64, pat []int32) []int32 {
+	qinv, list := s.lu.qinv, s.list[:0]
+	for e, i := range idx {
+		if v := val[e]; v != 0 {
+			k := qinv[i]
+			if s.tmp[k] == 0 {
+				list = append(list, int32(k))
+			}
+			s.tmp[k] = v
+		}
 	}
+	s.list = list
+	return s.btran(y).drain(pat)
+}
+
+// btran runs BTRAN in factor coordinates on the input scattered into tmp
+// at the positions in list — ordered U^T solve, transposed row etas, L^T
+// solve — then moves the result into y (all zero) and returns out holding
+// y's nonzero positions. It leaves tmp all zero.
+func (s *SparseFactor) btran(y []float64) bitset {
+	lu, tmp := s.lu, s.tmp
+	list := s.u.utsolve(tmp, s.list)
+	list = s.u.applyEtasBtran(tmp, list)
+	list = lu.ltsolve(tmp, s.set, list)
+	for _, k := range list {
+		if v := tmp[k]; v != 0 {
+			tmp[k] = 0
+			i := lu.prow[k]
+			y[i] = v
+			s.out.add(int(i))
+		}
+	}
+	s.list = list
+	return s.out
+}
+
+// bitset is a set of small non-negative integers, one bit each. The
+// triangular solves use it as an ordered work list: adding is one OR, and
+// popping the lowest or highest member of a word is one bit scan, so a
+// solve visits exactly its reach in index order for the cost of that reach
+// plus one word read per 64 indices.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)>>6) }
+
+func (b bitset) add(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
+
+func (b bitset) remove(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
+
+// popMin removes and returns the smallest member in word wi (nonzero).
+func (b bitset) popMin(wi int) int {
+	w := b[wi]
+	b[wi] = w & (w - 1)
+	return wi<<6 | bits.TrailingZeros64(w)
+}
+
+// popMax removes and returns the largest member in word wi (nonzero).
+func (b bitset) popMax(wi int) int {
+	w := b[wi]
+	t := 63 - bits.LeadingZeros64(w)
+	b[wi] = w &^ (1 << uint(t))
+	return wi<<6 | t
+}
+
+// clear empties the set.
+func (b bitset) clear() {
+	for wi := range b {
+		b[wi] = 0
+	}
+}
+
+// drain empties the set, appending its members to pat in ascending order.
+func (b bitset) drain(pat []int32) []int32 {
+	for wi, w := range b {
+		if w == 0 {
+			continue
+		}
+		b[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			pat = append(pat, int32(wi<<6|bits.TrailingZeros64(w)))
+		}
+	}
+	return pat
 }
 
 // gatherImage returns the entering column's FTRAN image in factor
@@ -215,19 +361,19 @@ type ftU struct {
 	cols []ftColumn
 	diag []float64
 
-	// Logical column order as a doubly-linked list (onext/oprev, -1
-	// terminated) plus a monotonically increasing key per column (okey):
+	// Logical column order as order keys: okey[j] is column j's key, and
 	// key comparison is order comparison. A fresh factorization starts
-	// with the identity order and keys 0..m-1; an update splices the
-	// replaced column to the tail in O(1) and stamps it with a fresh
-	// maximal key, instead of memmoving a positional array and rewriting
-	// every trailing position's index.
-	onext   []int32
-	oprev   []int32
+	// with keys 0..m-1; an update rotates the replaced column to the end
+	// by stamping it with a fresh maximal key (nextKey), so "column a
+	// precedes column b" is one integer compare. keyCol maps each key
+	// issued since the factorization back to its column (len(keyCol) ==
+	// nextKey); a key is live while okey[keyCol[key]] == key. keys is
+	// the ordered work set of the triangular solves and the spike
+	// elimination: a bitset over keys, empty between calls.
 	okey    []int32
-	ohead   int32
-	otail   int32
+	keyCol  []int32
 	nextKey int32
+	keys    bitset
 
 	// rows[r] lists the columns that may hold an off-diagonal entry in row
 	// r: a superset maintained by appending on install and never compacted
@@ -251,14 +397,15 @@ type ftU struct {
 	zmark int32
 	zpat  []int32
 	zval  []float64
-	hcol  []int32 // heap of pending columns, keyed by okey
-	sflag []int32 // heap-membership stamp for the hyper-sparse solves
-	smark int32
 }
 
-// utsolveSparseRatio gates the hyper-sparse BTRAN path: when fewer than
-// m/utsolveSparseRatio input entries are nonzero, the solve runs over the
-// reachable columns only (heap-ordered) instead of walking the order list.
+// utsolveSparseRatio gates BTRAN's U^T solve: when fewer than
+// m/utsolveSparseRatio input entries are nonzero, the solve runs push-form
+// over the reachable columns only; denser inputs run pull-form along the
+// order from the first nonzero. The two forms sum each entry's terms in
+// different orders, so they round differently: the gate is part of the
+// solver's arithmetic, not only of its speed, and moving it changes
+// pivots.
 const utsolveSparseRatio = 16
 
 // init converts the packed U of a fresh factorization (column k stores its
@@ -271,9 +418,8 @@ func (u *ftU) init(lu *sparseLU) {
 	if m > len(u.acc) {
 		u.cols = make([]ftColumn, m)
 		u.diag = make([]float64, m)
-		u.onext = make([]int32, m)
-		u.oprev = make([]int32, m)
 		u.okey = make([]int32, m)
+		u.keyCol = make([]int32, m, m+sparseMaxEtas)
 		u.rows = make([][]ftRowEntry, m)
 		u.acc = make([]float64, m)
 		u.aflag = make([]int32, m)
@@ -282,15 +428,17 @@ func (u *ftU) init(lu *sparseLU) {
 		u.zflag = make([]int32, m)
 		u.zpat = make([]int32, 0, m)
 		u.zval = make([]float64, 0, m)
-		u.hcol = make([]int32, 0, m)
-		u.sflag = make([]int32, m)
 	} else {
 		u.cols = u.cols[:m]
 		u.diag = u.diag[:m]
-		u.onext = u.onext[:m]
-		u.oprev = u.oprev[:m]
 		u.okey = u.okey[:m]
+		u.keyCol = u.keyCol[:m]
 		u.rows = u.rows[:m]
+	}
+	if n := (m + sparseMaxEtas + 63) >> 6; len(u.keys) < n {
+		u.keys = make(bitset, n)
+	} else {
+		u.keys.clear()
 	}
 	u.m = m
 	u.nnz = 0
@@ -314,17 +462,11 @@ func (u *ftU) init(lu *sparseLU) {
 		}
 		c.gen = 0
 		u.nnz += n
-		u.onext[k] = int32(k + 1)
-		u.oprev[k] = int32(k - 1)
 		u.okey[k] = int32(k)
+		u.keyCol[k] = int32(k)
 		u.rows[k] = u.rows[k][:0]
 	}
-	u.ohead, u.otail, u.nextKey = 0, int32(m-1), int32(m)
-	if m > 0 {
-		u.onext[m-1] = -1
-	} else {
-		u.ohead = -1
-	}
+	u.nextKey = int32(m)
 	u.nnz0 = u.nnz
 	for k := 0; k < m; k++ {
 		c := &u.cols[k]
@@ -335,27 +477,32 @@ func (u *ftU) init(lu *sparseLU) {
 	u.etas = u.etas[:0]
 	u.updates = 0
 	for i := 0; i < m; i++ {
-		u.aflag[i], u.zflag[i], u.sflag[i] = 0, 0, 0
+		u.aflag[i], u.zflag[i] = 0, 0
 	}
-	u.amark, u.zmark, u.smark = 0, 0, 0
+	u.amark, u.zmark = 0, 0
 }
 
 // usolve solves U*x = x in place, honoring the logical column order. The
-// solve is push-form — only nonzero entries propagate — and sparse inputs
-// visit exactly the nonzero entries in descending order through a
-// max-heap on the order keys instead of walking the whole order list.
-// Contributions to any entry arrive in the same descending order the list
-// walk produces, so both paths are bit-identical and the density gate
-// only ever changes speed.
-func (u *ftU) usolve(x []float64) {
-	nnz := 0
-	for j := 0; j < u.m; j++ {
+// solve is push-form — only nonzero entries propagate — and visits exactly
+// the columns x's nonzeros reach, in descending key order through the key
+// set: every entry receives its contributions in the order a walk of the
+// whole order list from the tail gives them. list holds the positions
+// where x may be nonzero; it is returned refilled with the visited
+// columns.
+func (u *ftU) usolve(x []float64, list []int32) []int32 {
+	keys := u.keys
+	for _, j := range list {
 		if x[j] != 0 {
-			nnz++
+			keys.add(int(u.okey[j]))
+		} else {
+			x[j] = 0
 		}
 	}
-	if nnz*utsolveSparseRatio > u.m {
-		for j := u.otail; j >= 0; j = u.oprev[j] {
+	list = list[:0]
+	for wi := int(u.nextKey-1) >> 6; wi >= 0; wi-- {
+		for keys[wi] != 0 {
+			j := u.keyCol[keys.popMax(wi)]
+			list = append(list, j)
 			xj := x[j] / u.diag[j]
 			x[j] = xj
 			if xj == 0 {
@@ -363,180 +510,111 @@ func (u *ftU) usolve(x []float64) {
 			}
 			c := &u.cols[j]
 			for e, r := range c.ri {
+				keys.add(int(u.okey[r]))
 				x[r] -= c.rv[e] * xj
 			}
 		}
-		return
 	}
-	u.smark++
-	hp := u.hcol[:0]
-	push := func(c int32) {
-		hp = append(hp, c)
-		for i := len(hp) - 1; i > 0; {
-			p := (i - 1) / 2
-			if u.okey[hp[p]] >= u.okey[hp[i]] {
-				break
-			}
-			hp[p], hp[i] = hp[i], hp[p]
-			i = p
-		}
-	}
-	for j := 0; j < u.m; j++ {
-		if x[j] != 0 {
-			u.sflag[j] = u.smark
-			push(int32(j))
-		}
-	}
-	for len(hp) > 0 {
-		j := int(hp[0])
-		last := len(hp) - 1
-		hp[0] = hp[last]
-		hp = hp[:last]
-		for i := 0; ; {
-			l, r, best := 2*i+1, 2*i+2, i
-			if l < len(hp) && u.okey[hp[l]] > u.okey[hp[best]] {
-				best = l
-			}
-			if r < len(hp) && u.okey[hp[r]] > u.okey[hp[best]] {
-				best = r
-			}
-			if best == i {
-				break
-			}
-			hp[best], hp[i] = hp[i], hp[best]
-			i = best
-		}
-		xj := x[j] / u.diag[j]
-		x[j] = xj
-		if xj == 0 {
-			continue
-		}
-		c := &u.cols[j]
-		for e, r := range c.ri {
-			if u.sflag[r] != u.smark {
-				u.sflag[r] = u.smark
-				push(r)
-			}
-			x[r] -= c.rv[e] * xj
-		}
-	}
-	u.hcol = hp[:0]
+	return list
 }
 
 // utsolve solves U^T*x = x in place, honoring the logical column order.
-// Sparse inputs (the unit-vector BTRANs of the devex machinery, the band
-// deltas of the phase-1 cost correction) take a hyper-sparse push-form
-// path over the reachable columns only; dense inputs walk the order list
-// from the first nonzero, before which every solution entry is exactly 0
-// by triangularity.
-func (u *ftU) utsolve(x []float64) {
-	nnz := 0
-	for j := 0; j < u.m; j++ {
+// list holds the positions where x may be nonzero; it is returned refilled
+// with the positions the solve wrote. Sparse inputs (the unit-vector
+// BTRANs of the devex machinery, the band deltas of the phase-1 cost
+// correction) take the push-form utsolveSparse; dense inputs run
+// pull-form along the order from the first nonzero, before which every
+// solution entry is exactly 0 by triangularity.
+func (u *ftU) utsolve(x []float64, list []int32) []int32 {
+	nnz, start := 0, u.nextKey
+	for _, j := range list {
 		if x[j] != 0 {
 			nnz++
+			start = min(start, u.okey[j])
 		}
 	}
 	if nnz*utsolveSparseRatio <= u.m {
-		u.utsolveSparse(x)
-		return
+		return u.utsolveSparse(x, list)
 	}
-	start := int32(-1)
-	bestKey := int32(0)
-	for j := 0; j < u.m; j++ {
-		if x[j] != 0 && (start < 0 || u.okey[j] < bestKey) {
-			start, bestKey = int32(j), u.okey[j]
+	list = list[:0]
+	for key := start; key < u.nextKey; key++ {
+		j := u.keyCol[key]
+		if u.okey[j] != key {
+			continue // the column was rotated to a later key
 		}
-	}
-	for j := start; j >= 0; j = u.onext[j] {
 		s := x[j]
 		c := &u.cols[j]
 		for e, r := range c.ri {
 			s -= c.rv[e] * x[r]
 		}
 		x[j] = s / u.diag[j]
+		list = append(list, j)
 	}
+	return list
 }
 
-// utsolveSparse is the hyper-sparse U^T solve: seed a min-heap (on the
-// order keys) with the nonzero input entries, pop in logical order, and
-// push each finalized entry forward into the columns that hold its row
-// (the gen-validated row lists). Pops are monotone in the keys and every
+// utsolveSparse is the hyper-sparse U^T solve: mark the nonzero input
+// entries in the key set, pop them in logical order, and push each
+// finalized entry forward into the columns that hold its row (the
+// gen-validated row lists). Pops are monotone in the keys and every
 // contribution flows strictly forward, so each entry is complete when it
 // pops; columns never reached stay exactly 0 without being visited.
-func (u *ftU) utsolveSparse(x []float64) {
-	u.smark++
-	hp := u.hcol[:0]
-	push := func(c int32) {
-		hp = append(hp, c)
-		for i := len(hp) - 1; i > 0; {
-			p := (i - 1) / 2
-			if u.okey[hp[p]] <= u.okey[hp[i]] {
-				break
-			}
-			hp[p], hp[i] = hp[i], hp[p]
-			i = p
-		}
-	}
-	for j := 0; j < u.m; j++ {
+func (u *ftU) utsolveSparse(x []float64, list []int32) []int32 {
+	keys := u.keys
+	for _, j := range list {
 		if x[j] != 0 {
-			u.sflag[j] = u.smark
-			push(int32(j))
+			keys.add(int(u.okey[j]))
+		} else {
+			x[j] = 0
 		}
 	}
-	for len(hp) > 0 {
-		j := int(hp[0])
-		last := len(hp) - 1
-		hp[0] = hp[last]
-		hp = hp[:last]
-		for i := 0; ; {
-			l, r, best := 2*i+1, 2*i+2, i
-			if l < len(hp) && u.okey[hp[l]] < u.okey[hp[best]] {
-				best = l
-			}
-			if r < len(hp) && u.okey[hp[r]] < u.okey[hp[best]] {
-				best = r
-			}
-			if best == i {
-				break
-			}
-			hp[best], hp[i] = hp[i], hp[best]
-			i = best
-		}
-		xj := x[j] / u.diag[j]
-		x[j] = xj
-		if xj == 0 {
-			continue
-		}
-		for _, en := range u.rows[j] {
-			c := int(en.col)
-			if en.gen != u.cols[c].gen {
+	list = list[:0]
+	for wi, nw := 0, int(u.nextKey+63)>>6; wi < nw; wi++ {
+		for keys[wi] != 0 {
+			j := u.keyCol[keys.popMin(wi)]
+			list = append(list, j)
+			xj := x[j] / u.diag[j]
+			x[j] = xj
+			if xj == 0 {
 				continue
 			}
-			if u.sflag[c] != u.smark {
-				u.sflag[c] = u.smark
-				push(en.col)
+			for _, en := range u.rows[j] {
+				c := en.col
+				if en.gen != u.cols[c].gen {
+					continue
+				}
+				keys.add(int(u.okey[c]))
+				x[c] -= en.val * xj
 			}
-			x[c] -= en.val * xj
 		}
 	}
-	u.hcol = hp[:0]
+	return list
 }
 
 // applyEtasFtran applies the row etas in recording order: x[t] -= z . x.
-func (u *ftU) applyEtasFtran(x []float64) {
+// A target that turns nonzero joins list, which is returned.
+func (u *ftU) applyEtasFtran(x []float64, list []int32) []int32 {
 	for k := range u.etas {
 		e := &u.etas[k]
 		s := 0.0
 		for i, r := range e.idx {
 			s += e.val[i] * x[r]
 		}
+		if s == 0 {
+			continue // x[t] -= +0 would change no bit
+		}
+		if x[e.t] == 0 {
+			list = append(list, int32(e.t))
+		}
 		x[e.t] -= s
 	}
+	return list
 }
 
 // applyEtasBtran applies the transposed row etas in reverse order:
-// x[r] -= z_r * x[t] for every multiplier row r.
-func (u *ftU) applyEtasBtran(x []float64) {
+// x[r] -= z_r * x[t] for every multiplier row r. list holds the positions
+// where x may be nonzero; rows that were zero join it, and it is returned.
+func (u *ftU) applyEtasBtran(x []float64, list []int32) []int32 {
 	for k := len(u.etas) - 1; k >= 0; k-- {
 		e := &u.etas[k]
 		xt := x[e.t]
@@ -544,9 +622,13 @@ func (u *ftU) applyEtasBtran(x []float64) {
 			continue
 		}
 		for i, r := range e.idx {
+			if x[r] == 0 {
+				list = append(list, r)
+			}
 			x[r] -= e.val[i] * xt
 		}
 	}
+	return list
 }
 
 // update absorbs one basis change: factor column t is replaced by the
@@ -593,23 +675,11 @@ func (u *ftU) update(t int, pat []int32, val []float64, wpos, pivTol float64) er
 
 	// Row spike: row t's entries in later-ordered columns, found through
 	// the rows list (verified, deduplicated) and deleted from storage.
-	// Each spike column joins a min-heap on the order keys, so the
-	// elimination below visits columns in logical order while touching
-	// only the columns actually involved — never the trailing positions
-	// wholesale.
+	// Each spike column joins the key set, so the elimination below visits
+	// columns in logical order while touching only the columns actually
+	// involved — never the trailing positions wholesale.
 	t32 := int32(t)
-	hp := u.hcol[:0]
-	push := func(c int32) {
-		hp = append(hp, c)
-		for i := len(hp) - 1; i > 0; {
-			p := (i - 1) / 2
-			if u.okey[hp[p]] <= u.okey[hp[i]] {
-				break
-			}
-			hp[p], hp[i] = hp[i], hp[p]
-			i = p
-		}
-	}
+	keys := u.keys
 	u.zmark++
 	for _, en := range u.rows[t] {
 		c := int(en.col)
@@ -627,7 +697,7 @@ func (u *ftU) update(t int, pat []int32, val []float64, wpos, pivTol float64) er
 			u.nnz--
 			u.zacc[c] = en.val
 			u.zflag[c] = u.zmark
-			push(en.col)
+			keys.add(int(u.okey[c]))
 			break
 		}
 	}
@@ -635,52 +705,36 @@ func (u *ftU) update(t int, pat []int32, val []float64, wpos, pivTol float64) er
 
 	// Eliminate the spike: solve U22^T z = spike in logical column order,
 	// pushing each multiplier into the later columns that hold its row
-	// (fill joins the heap). Heap pops are monotone in the order keys and
+	// (fill joins the key set). Pops are monotone in the order keys and
 	// every contribution flows strictly forward, so each column's
 	// accumulator is complete when it pops — the same order the positional
 	// scan used to visit.
 	zpat, zval := u.zpat[:0], u.zval[:0]
-	for len(hp) > 0 {
-		j := int(hp[0])
-		last := len(hp) - 1
-		hp[0] = hp[last]
-		hp = hp[:last]
-		for i := 0; ; {
-			l, r, min := 2*i+1, 2*i+2, i
-			if l < len(hp) && u.okey[hp[l]] < u.okey[hp[min]] {
-				min = l
-			}
-			if r < len(hp) && u.okey[hp[r]] < u.okey[hp[min]] {
-				min = r
-			}
-			if min == i {
-				break
-			}
-			hp[min], hp[i] = hp[i], hp[min]
-			i = min
-		}
-		sum := u.zacc[j]
-		if abs(sum) <= factorDropTol {
-			continue
-		}
-		zj := sum / u.diag[j]
-		zpat = append(zpat, int32(j))
-		zval = append(zval, zj)
-		kj := u.okey[j]
-		for _, en := range u.rows[j] {
-			c := int(en.col)
-			if u.okey[c] <= kj || en.gen != u.cols[c].gen {
+	for wi, nw := int(u.okey[t])>>6, int(u.nextKey+63)>>6; wi < nw; wi++ {
+		for keys[wi] != 0 {
+			j := int(u.keyCol[keys.popMin(wi)])
+			sum := u.zacc[j]
+			if abs(sum) <= factorDropTol {
 				continue
 			}
-			if u.zflag[c] != u.zmark {
-				u.zflag[c] = u.zmark
-				u.zacc[c] = 0
-				push(en.col)
+			zj := sum / u.diag[j]
+			zpat = append(zpat, int32(j))
+			zval = append(zval, zj)
+			kj := u.okey[j]
+			for _, en := range u.rows[j] {
+				c := int(en.col)
+				if u.okey[c] <= kj || en.gen != u.cols[c].gen {
+					continue
+				}
+				if u.zflag[c] != u.zmark {
+					u.zflag[c] = u.zmark
+					u.zacc[c] = 0
+					keys.add(int(u.okey[c]))
+				}
+				u.zacc[c] -= en.val * zj
 			}
-			u.zacc[c] -= en.val * zj
 		}
 	}
-	u.hcol = hp[:0]
 	u.zpat, u.zval = zpat, zval
 
 	// New diagonal of column t after the row elimination.
@@ -734,23 +788,13 @@ func (u *ftU) update(t int, pat []int32, val []float64, wpos, pivTol float64) er
 		})
 	}
 
-	// Rotate column t to the end of the order: an O(1) list splice plus a
-	// fresh maximal key.
-	if u.otail != t32 {
-		p, n := u.oprev[t], u.onext[t]
-		if p >= 0 {
-			u.onext[p] = n
-		} else {
-			u.ohead = n
-		}
-		u.oprev[n] = p
-		u.onext[u.otail] = t32
-		u.oprev[t] = u.otail
-		u.onext[t] = -1
-		u.otail = t32
-	}
+	// Rotate column t to the end of the order: a fresh maximal key.
 	u.okey[t] = u.nextKey
+	u.keyCol = append(u.keyCol, t32)
 	u.nextKey++
+	if int(u.nextKey) > len(u.keys)<<6 {
+		u.keys = append(u.keys, 0)
+	}
 
 	u.updates++
 	return nil

@@ -1,5 +1,7 @@
 package lp
 
+import "slices"
+
 // sparseLU holds an LU factorization of a square sparse matrix computed with
 // the left-looking Gilbert-Peierls algorithm and partial pivoting:
 // P*B[:,q] = L*U with unit lower-triangular L (diagonal stored first in each
@@ -14,9 +16,16 @@ type sparseLU struct {
 	ui []int
 	ux []float64
 
-	pinv []int // row i of B -> pivot position pinv[i]
-	q    []int // column preorder: factor column k is B column q[k]
+	pinv []int   // row i of B -> pivot position pinv[i]
+	prow []int32 // pivot position k -> row of B (the inverse of pinv)
+	q    []int   // column preorder: factor column k is B column q[k]
 	qinv []int
+
+	// Row-wise pattern of L's off-diagonal entries: lrc[lrp[k]:lrp[k+1]]
+	// lists the columns of L with an entry in row k (all before k). The
+	// transposed solve finds its reach through it.
+	lrp []int32
+	lrc []int32
 
 	// scratch
 	x     []float64
@@ -40,20 +49,34 @@ type sparseLU struct {
 // with value 1. Each swap is reported so the caller can move the displaced
 // column to a bound; one factorization pass absorbs any number of repairs,
 // where the retry-per-repair scheme pays a partial refactorization each.
-func luFactor(a *CSC, cols []int, pivTol float64, repair bool) (*sparseLU, []basisSwap, error) {
+//
+// f, when it holds a factorization of the same order, lends its storage:
+// the new factors overwrite it, so the old factorization is gone whether or
+// not the call succeeds. A simplex solve refactorizes tens of times, and
+// reusing the storage keeps each refactorization from allocating it anew.
+func luFactor(a *CSC, cols []int, pivTol float64, repair bool, f *sparseLU) (*sparseLU, []basisSwap, error) {
 	m := len(cols)
-	f := &sparseLU{
-		m:     m,
-		lp:    make([]int, m+1),
-		up:    make([]int, m+1),
-		pinv:  make([]int, m),
-		q:     make([]int, m),
-		qinv:  make([]int, m),
-		x:     make([]float64, m),
-		xi:    make([]int, m),
-		stack: make([]int, m),
-		pstk:  make([]int, m),
-		flags: make([]int32, m),
+	if f == nil || f.m != m {
+		f = &sparseLU{
+			m:     m,
+			lp:    make([]int, m+1),
+			up:    make([]int, m+1),
+			pinv:  make([]int, m),
+			prow:  make([]int32, m),
+			q:     make([]int, m),
+			qinv:  make([]int, m),
+			lrp:   make([]int32, m+1),
+			x:     make([]float64, m),
+			xi:    make([]int, m),
+			stack: make([]int, m),
+			pstk:  make([]int, m),
+			flags: make([]int32, m),
+		}
+	} else {
+		// A failed call can stop with values scattered and rows marked.
+		clear(f.x)
+		clear(f.flags)
+		f.mark = 0
 	}
 	for i := range f.pinv {
 		f.pinv[i] = -1
@@ -74,10 +97,10 @@ func luFactor(a *CSC, cols []int, pivTol float64, repair bool) (*sparseLU, []bas
 	}
 
 	nnzGuess := 4 * a.NNZ() / max(1, a.Cols) * m
-	f.li = make([]int, 0, nnzGuess)
-	f.lx = make([]float64, 0, nnzGuess)
-	f.ui = make([]int, 0, nnzGuess)
-	f.ux = make([]float64, 0, nnzGuess)
+	f.li = slices.Grow(f.li[:0], nnzGuess)
+	f.lx = slices.Grow(f.lx[:0], nnzGuess)
+	f.ui = slices.Grow(f.ui[:0], nnzGuess)
+	f.ux = slices.Grow(f.ux[:0], nnzGuess)
 
 	// Static row weights for the sparsity tie-break below: how many basis
 	// columns touch each row. Rows shared by many columns breed fill when
@@ -172,7 +195,37 @@ func luFactor(a *CSC, cols []int, pivTol float64, repair bool) (*sparseLU, []bas
 	for p := range f.li {
 		f.li[p] = f.pinv[f.li[p]]
 	}
+	for i, k := range f.pinv {
+		f.prow[k] = int32(i)
+	}
+	f.buildRows()
 	return f, swaps, nil
+}
+
+// buildRows fills the row-wise pattern of L's off-diagonal entries.
+func (f *sparseLU) buildRows() {
+	// Count each row's entries into lrp[row+1], turn the counts into row
+	// starts, and fill with lrp[row] as the insertion cursor; that leaves
+	// lrp[row] at the next row's start, and one shift restores it.
+	clear(f.lrp)
+	for j := 0; j < f.m; j++ {
+		for p := f.lp[j] + 1; p < f.lp[j+1]; p++ {
+			f.lrp[f.li[p]+1]++
+		}
+	}
+	for k := 0; k < f.m; k++ {
+		f.lrp[k+1] += f.lrp[k]
+	}
+	f.lrc = slices.Grow(f.lrc[:0], int(f.lrp[f.m]))[:f.lrp[f.m]]
+	for j := 0; j < f.m; j++ {
+		for p := f.lp[j] + 1; p < f.lp[j+1]; p++ {
+			i := f.li[p]
+			f.lrc[f.lrp[i]] = int32(j)
+			f.lrp[i]++
+		}
+	}
+	copy(f.lrp[1:], f.lrp[:f.m])
+	f.lrp[0] = 0
 }
 
 // spSolve computes x = L\B[:,j] for the partially built L, returning the
@@ -255,34 +308,63 @@ func (f *sparseLU) dfs(i, top int) int {
 	return top
 }
 
-// lsolve solves L*x = x in place (x in pivoted coordinates).
-func (f *sparseLU) lsolve(x []float64) {
-	for j := 0; j < f.m; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for p := f.lp[j] + 1; p < f.lp[j+1]; p++ {
-			x[f.li[p]] -= f.lx[p] * xj
+// lsolve solves L*x = x in place (x in pivoted coordinates) over the
+// positions in set, which holds x's nonzeros on entry and is empty on
+// return. It visits only the positions the nonzeros reach, in ascending
+// order — the order a full forward sweep gives every entry its
+// contributions — and appends each to list.
+func (f *sparseLU) lsolve(x []float64, set bitset, list []int32) []int32 {
+	for wi := range set {
+		for set[wi] != 0 {
+			j := set.popMin(wi)
+			list = append(list, int32(j))
+			xj := x[j]
+			if xj == 0 {
+				continue
+			}
+			for p := f.lp[j] + 1; p < f.lp[j+1]; p++ {
+				i := f.li[p]
+				set.add(i)
+				x[i] -= f.lx[p] * xj
+			}
 		}
 	}
+	return list
 }
 
-// ltsolve solves L^T*x = x in place. Rows past the last nonzero input are
-// skipped: each depends only on later rows (L^T is upper triangular with
-// unit diagonal), all zero there, so those entries stay exactly 0.
-func (f *sparseLU) ltsolve(x []float64) {
-	j := f.m - 1
-	for j >= 0 && x[j] == 0 {
-		j--
-	}
-	for ; j >= 0; j-- {
-		s := x[j]
-		for p := f.lp[j] + 1; p < f.lp[j+1]; p++ {
-			s -= f.lx[p] * x[f.li[p]]
+// ltsolve solves L^T*x = x in place. list holds the positions where x may
+// be nonzero; the solve visits what they reach through L's rows in
+// descending order (set is scratch, empty between calls) and returns list
+// refilled with the visited positions. Each visited entry is one pull-form
+// sum over its L column, exactly as a full backward sweep computes it; an
+// unreached entry stays 0, since every term of its sum is 0.
+func (f *sparseLU) ltsolve(x []float64, set bitset, list []int32) []int32 {
+	for _, j := range list {
+		if x[j] != 0 {
+			set.add(int(j))
+		} else {
+			x[j] = 0
 		}
-		x[j] = s
 	}
+	list = list[:0]
+	for wi := len(set) - 1; wi >= 0; wi-- {
+		for set[wi] != 0 {
+			j := set.popMax(wi)
+			list = append(list, int32(j))
+			s := x[j]
+			for p := f.lp[j] + 1; p < f.lp[j+1]; p++ {
+				s -= f.lx[p] * x[f.li[p]]
+			}
+			x[j] = s
+			if s == 0 {
+				continue
+			}
+			for _, c := range f.lrc[f.lrp[j]:f.lrp[j+1]] {
+				set.add(int(c))
+			}
+		}
+	}
+	return list
 }
 
 // repairRow picks the constraint row a singular-basis repair should patch

@@ -65,11 +65,13 @@ type Stats struct {
 	// feasibility of a carried basis while keeping it dual feasible,
 	// replacing the phase-1-then-phase-2 walk a primal re-solve would pay.
 	DualIterations int
-	// BasisRepairs counts warm-start bases that factorized singular and
-	// were patched in place (a dependent basic column swapped for a row
-	// slack) instead of being discarded for a cold crash start. A basis
-	// carried across a coefficient change — the continuous-controller
-	// re-solve path — is the usual source.
+	// BasisRepairs counts the dependent basic columns an in-factorization
+	// repair swapped for a row slack. A warm-start basis that factorized
+	// singular is patched this way instead of being discarded for a cold
+	// crash start; a basis carried across a coefficient change — the
+	// continuous-controller re-solve path — is the usual source. The basis
+	// restored after a rejected pivot is repaired the same way, since it
+	// may have been factorable only through the update chain.
 	BasisRepairs int
 	// PresolveRowsRemoved and PresolveColsRemoved count the constraint
 	// rows and structural columns the presolve layer eliminated before
