@@ -84,7 +84,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	counts = truncate(counts.Dense(), *intervalsCap)
+	counts = truncate(counts, *intervalsCap)
 	cfg := controller.Config{
 		Topo: sys.Topo,
 		Cost: core.DefaultCost(),

@@ -102,7 +102,7 @@ func run(args []string, stdout io.Writer) error {
 	if *avg > 0 {
 		goal = core.AvgLatency(*avg)
 	}
-	inst, err := core.NewInstance(topo, counts.Dense(), core.DefaultCost(), goal)
+	inst, err := core.NewInstance(topo, counts, core.DefaultCost(), goal)
 	if err != nil {
 		return err
 	}

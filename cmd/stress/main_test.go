@@ -1,12 +1,63 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// tinyLadderGolden holds the SHA-256 of every TSV the tiny stress ladder
+// writes: the bound bodies, the "# solver:" counter footers and the
+// "# xcheck:" oracle verdicts. The digests are amd64's: fused
+// multiply-adds elsewhere change the bits.
+var tinyLadderGolden = map[string]string{
+	"stress_transit-stub-100_n8.tsv":         "8de5f1ed76a679b9ea35746e2608ae9da85fe0071086ba05ccf75e3559bb72a6",
+	"stress_transit-stub-100_n12.tsv":        "23b3c949b46d99c6008933161d161b7b6413b23eaebdc3fa9f603c926672a094",
+	"stress_remote-office-clustered_n8.tsv":  "1ee77242ebfcbc6bb69dbfdeb1b5a83108b08afe138aeb796bd3f634b829449e",
+	"stress_remote-office-clustered_n12.tsv": "09df8f272e8ccb903335ae5c2431c6034ae6eb85e0debc52a3820208aa2fdbdc",
+	"stress_tree-kary-63_n8.tsv":             "10940545ad9473225a0ebcf4e3d13c98523501aa1abd383e9632d008cf4856a7",
+	"stress_tree-kary-63_n12.tsv":            "f2f2fbc8eb9ce4d53393941b0b8323150f45f1ec92c5942eba43723099251c5d",
+}
+
+// TestTinyLadderGolden pins the tiny stress ladder byte for byte: two
+// rungs of the transit-stub and remote-office families and two capped
+// tree rungs. A change that moves a bound, a pivot count or an oracle
+// verdict on any rung fails here.
+func TestTinyLadderGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("ladder digests are recorded on amd64; fused multiply-adds change the bits elsewhere")
+	}
+	dir := t.TempDir()
+	var out, errw strings.Builder
+	err := run([]string{"-scenarios", "transit-stub-100,remote-office-clustered,tree-kary-63@12",
+		"-sizes", "8,12", "-out", dir, "-bench", ""}, &out, &errw)
+	if err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, errw.String())
+	}
+	written, err := filepath.Glob(filepath.Join(dir, "*.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != len(tinyLadderGolden) {
+		t.Errorf("ladder wrote %d TSVs, want %d", len(written), len(tinyLadderGolden))
+	}
+	for name, want := range tinyLadderGolden {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: digest %s, want %s:\n%s", name, got, want, data)
+		}
+	}
+}
 
 // TestRunTreeRungRecordsOracleVerdict: a tree rung must carry the exact
 // oracle's verdict both in the TSV footer and in the bench record, so a

@@ -27,7 +27,7 @@ func TestReplayTrajectoryGolden(t *testing.T) {
 		t.Skip("trajectory digest is recorded on amd64; fused multiply-adds change the bits elsewhere")
 	}
 	sys := diurnalSystem(t)
-	c := sys.Counts.Dense()
+	c := sys.Counts
 	counts := &workload.Counts{
 		Reads: make([][][]int, c.Nodes), Writes: make([][][]int, c.Nodes),
 		Nodes: c.Nodes, Intervals: 6, Objects: c.Objects, Delta: c.Delta,

@@ -219,12 +219,11 @@ func NewSystem(topo *topology.Topology, trace *workload.Trace, delta time.Durati
 	return &System{Spec: spec, Topo: topo, Trace: trace, Counts: counts}, nil
 }
 
-// Instance builds the MC-PERF instance at one QoS point. The core layer
-// indexes the count tensors directly, so sparse counts (from the
-// streaming aggregator) densify here once; for a solver-sized system the
-// dense tensor is small whatever the trace volume was.
+// Instance builds the MC-PERF instance at one QoS point. It only reads
+// the System, so it is safe for concurrent use: the sweep's instance
+// cache builds distinct QoS points in parallel from one System.
 func (s *System) Instance(tqos float64) (*core.Instance, error) {
-	return core.NewInstance(s.Topo, s.Counts.Dense(), core.DefaultCost(), core.QoS(tqos, s.Spec.Tlat))
+	return core.NewInstance(s.Topo, s.Counts, core.DefaultCost(), core.QoS(tqos, s.Spec.Tlat))
 }
 
 // Point is one (class, QoS level) cell of a bound figure.

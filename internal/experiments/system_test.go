@@ -134,3 +134,51 @@ func TestSweepRejectsEmptyClasses(t *testing.T) {
 		t.Error("empty class list accepted")
 	}
 }
+
+// TestInstanceConcurrentOnStreamedCounts: the sweep's instance cache
+// builds distinct QoS points concurrently from one System, so Instance
+// must only read it; run under -race. The counts come straight from
+// Stream.Counts over a large, mostly zero tensor (8 sites x 8 intervals x
+// 1,024 objects = 65,536 cells for 2,000 requests), the input a compact
+// form of the counts would target.
+func TestInstanceConcurrentOnStreamedCounts(t *testing.T) {
+	const nodes = 8
+	topo, err := topology.Generate(topology.GenOptions{N: nodes, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := workload.StreamWeb(workload.WebOptions{
+		Nodes: nodes, Objects: 1024, Requests: 2000, Duration: 8 * time.Hour, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := st.Counts(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells := counts.Nodes * counts.Intervals * counts.Objects; cells < 1<<16 {
+		t.Fatalf("counts have %d cells, want at least %d", cells, 1<<16)
+	}
+	sys := &System{
+		Spec:   Spec{Nodes: nodes, Objects: 1024, Requests: 2000, Delta: time.Hour, Tlat: 150},
+		Topo:   topo,
+		Counts: counts,
+	}
+	qos := []float64{0.9, 0.95}
+	errs := make([]error, len(qos))
+	var wg sync.WaitGroup
+	for i, q := range qos {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = sys.Instance(q)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("Instance(%g): %v", qos[i], err)
+		}
+	}
+}

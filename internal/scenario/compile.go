@@ -333,8 +333,7 @@ func selfCheckAttainability(spec Spec, sys *experiments.System, classes []*core.
 // Streamed systems have no Trace. They hash CountsDigest — the SHA-256 of
 // the counts' canonical binary encoding — instead, leaving Trace null, so
 // a streamed document can never collide with a materialized one of the
-// same topology (the field sets differ) and two streamed compiles agree
-// whatever internal representation (dense or CSR) the aggregator chose.
+// same topology (the field sets differ).
 type fingerprintDoc struct {
 	DeltaNanos   int64              `json:"deltaNanos"`
 	Tlat         float64            `json:"tlat"`

@@ -318,9 +318,10 @@ func (s *Spec) validateWorkload() error {
 	if w.Objects < 0 || w.Requests < 0 || w.HorizonMillis < 0 || w.HotObjects < 0 || w.Zones < 0 || w.PeriodMillis < 0 {
 		return fmt.Errorf("scenario %s: workload counts must not be negative", s.Name)
 	}
-	// The streaming aggregator's sparse counts hold each per-cell count in
-	// 32 bits; capping the volume at math.MaxInt32 keeps every cell in that
-	// range, so the packing never has to fall back to dense storage.
+	// The cap is input validation, not a storage limit. A compile draws
+	// once per request and specs arrive in untrusted job bodies, so the
+	// volume bounds the work one spec can demand; math.MaxInt32 is over
+	// 130 times the paper's largest trace (16M requests).
 	if w.Requests > math.MaxInt32 {
 		return fmt.Errorf("scenario %s: workload.requests %d exceeds the supported maximum %d", s.Name, w.Requests, math.MaxInt32)
 	}

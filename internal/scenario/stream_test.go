@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestStreamedCompileMatchesMaterialized is the end-to-end differential of
@@ -84,5 +86,41 @@ func TestStreamAutoThreshold(t *testing.T) {
 	}
 	if res.Fingerprint == "" {
 		t.Error("streamed compile produced no fingerprint")
+	}
+}
+
+// TestStreamedCompileAllocsNearCountTensors is the streamed compile's
+// memory guard: compiling paper20-group-full at a tenth of its volume
+// must allocate at most 3x its two dense count tensors (reads and writes,
+// 20 x 24 x 1000 ints each), set-up, self-check and fingerprint included.
+// The tensors are the compile's one unavoidable allocation, so a second
+// copy of them in any other form shows up here. Not parallel: TotalAlloc
+// is process-wide.
+func TestStreamedCompileAllocsNearCountTensors(t *testing.T) {
+	const gate = 3
+	spec, err := Get("paper20-group-full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Workload.Requests = 1_600_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := CompileWith(spec, CompileOptions{Streaming: StreamOn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	c := res.System.Counts
+	if !res.Streamed || c.Nodes != 20 || c.Intervals != 24 || c.Objects != 1000 {
+		t.Fatalf("compiled %dx%dx%d counts (streamed %v), want a streamed 20x24x1000", c.Nodes, c.Intervals, c.Objects, res.Streamed)
+	}
+	compiled := after.TotalAlloc - before.TotalAlloc
+	tensors := uint64(2*c.Nodes*c.Intervals*c.Objects) * uint64(unsafe.Sizeof(int(0)))
+	ratio := float64(compiled) / float64(tensors)
+	t.Logf("streamed compile allocated %d bytes, two dense count tensors %d bytes: %.2fx", compiled, tensors, ratio)
+	if compiled > gate*tensors {
+		t.Errorf("streamed compile allocated %d bytes, %.2fx its count tensors' %d, above the %dx gate",
+			compiled, ratio, tensors, gate)
 	}
 }

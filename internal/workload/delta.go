@@ -15,11 +15,7 @@ func (c *Counts) IntervalReads(i int) ([][]int, error) {
 	backing := make([]int, c.Nodes*c.Objects)
 	for n := 0; n < c.Nodes; n++ {
 		out[n], backing = backing[:c.Objects:c.Objects], backing[c.Objects:]
-		if c.sparseReads != nil {
-			c.sparseReads.addRowInto(n*c.Intervals+i, out[n])
-		} else {
-			copy(out[n], c.Reads[n][i])
-		}
+		copy(out[n], c.Reads[n][i])
 	}
 	return out, nil
 }

@@ -86,10 +86,10 @@ func (s *Stream) Materialize() (*Trace, error) {
 
 // Counts drains the stream and buckets it into evaluation intervals of
 // length delta in one pass, without ever holding the raw accesses: the
-// only allocations are one chunk buffer and the count tensors. The result
-// is identical to Materialize().Bucket(delta) — bucketing is a sum, so the
-// sort the materialized path performs cannot change it. Sparse storage is
-// chosen automatically when zeros dominate (see Counts.IsSparse).
+// only allocations are one chunk buffer and the count tensors, which it
+// returns as they are. The result is identical to
+// Materialize().Bucket(delta) — bucketing is a sum, so the sort the
+// materialized path performs cannot change it.
 func (s *Stream) Counts(delta time.Duration) (*Counts, error) {
 	if delta <= 0 {
 		return nil, errors.New("workload: interval must be positive")
@@ -98,8 +98,11 @@ func (s *Stream) Counts(delta time.Duration) (*Counts, error) {
 		return nil, errors.New("workload: stream already consumed")
 	}
 	ni := intervalCount(s.duration, delta)
-	reads := alloc3(s.nodes, ni, s.objects)
-	writes := alloc3(s.nodes, ni, s.objects)
+	c := &Counts{
+		Nodes: s.nodes, Intervals: ni, Objects: s.objects, Delta: delta,
+		Reads:  alloc3(s.nodes, ni, s.objects),
+		Writes: alloc3(s.nodes, ni, s.objects),
+	}
 	chunk := streamChunk
 	if s.requests < chunk {
 		chunk = s.requests
@@ -113,9 +116,9 @@ func (s *Stream) Counts(delta time.Duration) (*Counts, error) {
 		if n == 0 {
 			break
 		}
-		bucket(reads, writes, buf[:n], delta, ni)
+		bucket(c.Reads, c.Writes, buf[:n], delta, ni)
 	}
-	return packCounts(s.nodes, ni, s.objects, delta, reads, writes), nil
+	return c, nil
 }
 
 // intervalCount is the number of evaluation intervals of length delta in a

@@ -180,7 +180,10 @@ func TestStreamChunkInvariance(t *testing.T) {
 	if total != opts.Requests {
 		t.Fatalf("stream produced %d accesses, want %d", total, opts.Requests)
 	}
-	got := packCounts(b.Nodes(), want.Intervals, b.Objects(), 30*time.Minute, reads, writes)
+	got := &Counts{
+		Reads: reads, Writes: writes,
+		Nodes: b.Nodes(), Intervals: want.Intervals, Objects: b.Objects(), Delta: 30 * time.Minute,
+	}
 	if !got.Equal(want) {
 		t.Error("chunk-size-7 aggregation differs from Stream.Counts")
 	}

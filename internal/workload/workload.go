@@ -75,14 +75,9 @@ func sortAccesses(a []Access) {
 
 // Counts is a trace bucketed into evaluation intervals: Reads[n][i][k] is
 // the number of reads from node n to object k during interval i (the
-// read_nik of the paper), and likewise Writes.
-//
-// Counts built by Trace.Bucket or by struct literal are always dense
-// (Reads/Writes populated). The streaming aggregator (Stream.Counts) may
-// instead store the tensors in CSR form when zeros dominate — see
-// sparse.go — in which case Reads/Writes are nil and access goes through
-// ReadCount/WriteCount or Dense(). JSON round trips, the canonical binary
-// encoding and the accessor methods are representation-independent.
+// read_nik of the paper), and likewise Writes. Both tensors are dense:
+// every consumer indexes them cell by cell, and the one-pass aggregator
+// allocates them anyway.
 type Counts struct {
 	Reads     [][][]int
 	Writes    [][][]int
@@ -90,9 +85,6 @@ type Counts struct {
 	Intervals int
 	Objects   int
 	Delta     time.Duration
-
-	sparseReads  *sparseTensor
-	sparseWrites *sparseTensor
 }
 
 // Bucket aggregates the trace into intervals of length delta. The final
@@ -139,50 +131,6 @@ func alloc3(n, i, k int) [][][]int {
 		}
 	}
 	return out
-}
-
-// TotalReads returns the total read count per node.
-func (c *Counts) TotalReads() []int {
-	tot := make([]int, c.Nodes)
-	if c.sparseReads != nil {
-		for row := 0; row < c.sparseReads.rows(); row++ {
-			n := row / c.Intervals
-			for _, v := range c.sparseReads.rowVals(row) {
-				tot[n] += int(v)
-			}
-		}
-		return tot
-	}
-	for n := range c.Reads {
-		for i := range c.Reads[n] {
-			for _, v := range c.Reads[n][i] {
-				tot[n] += v
-			}
-		}
-	}
-	return tot
-}
-
-// ObjectReads returns the total read count per object.
-func (c *Counts) ObjectReads() []int {
-	tot := make([]int, c.Objects)
-	if c.sparseReads != nil {
-		for row := 0; row < c.sparseReads.rows(); row++ {
-			cols, vals := c.sparseReads.row(row)
-			for j, k := range cols {
-				tot[k] += int(vals[j])
-			}
-		}
-		return tot
-	}
-	for n := range c.Reads {
-		for i := range c.Reads[n] {
-			for k, v := range c.Reads[n][i] {
-				tot[k] += v
-			}
-		}
-	}
-	return tot
 }
 
 // Reassign maps every access through the given site assignment (see

@@ -179,14 +179,14 @@ func TestBucketPreservesTotals(t *testing.T) {
 			return false
 		}
 		total := 0
-		for _, v := range c.TotalReads() {
-			total += v
+		for n := range c.Reads {
+			for i := range c.Reads[n] {
+				for _, v := range c.Reads[n][i] {
+					total += v
+				}
+			}
 		}
-		objTotal := 0
-		for _, v := range c.ObjectReads() {
-			objTotal += v
-		}
-		return total == 500 && objTotal == 500
+		return total == 500
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
