@@ -2,85 +2,48 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestRunDiurnalShift drives the binary's real flow on a short replay and
-// appends its record to a fresh history file.
+// TestRunDiurnalShift drives the binary's real flow on a short replay.
 func TestRunDiurnalShift(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "history.json")
 	var out bytes.Buffer
-	args := []string{"-scenario", "diurnal-shift", "-intervals", "3", "-presolve=false", "-bench", path}
+	args := []string{"-scenario", "diurnal-shift", "-intervals", "3", "-presolve=false"}
 	if err := run(args, &out); err != nil {
 		t.Fatalf("run(%v): %v\n%s", args, err, out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"warm chain:", "cold base:", "speedup:", "re-solve:", "recorded -> " + path} {
+	for _, want := range []string{"warm chain:", "cold base:", "speedup:", "re-solve:"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var history []benchRecord
-	if err := json.Unmarshal(data, &history); err != nil {
-		t.Fatalf("history does not parse: %v", err)
-	}
-	if len(history) != 1 || history[0].Scenario != "diurnal-shift" || history[0].Intervals != 3 {
-		t.Fatalf("history = %+v, want one diurnal-shift record over 3 intervals", history)
-	}
 }
 
-// TestCompareGate runs -compare on hand-written histories: the latest
-// record passes at 3x or more over the cold baseline and fails below it
-// or when its warm iterations grow more than 10% over the previous record.
-func TestCompareGate(t *testing.T) {
-	record := func(warm int, iter, resolveIter, resolveWall float64) benchRecord {
-		return benchRecord{
-			Scenario: "diurnal-shift", TQoS: 0.95, Intervals: 8, Lookahead: true,
-			WarmIterations: warm, IterSpeedup: iter, WarmResolveIterations: warm / 2,
-			ResolveIterSpeedup: resolveIter, ResolveWallSpeedup: resolveWall,
+// TestRunSimScoresOnlyPlannedIntervals: under an -intervals cap, -sim
+// scores exactly the planned intervals, so "overall" is their aggregate
+// and not a replay of the whole trace under the last planned placement.
+func TestRunSimScoresOnlyPlannedIntervals(t *testing.T) {
+	var out bytes.Buffer
+	args := []string{"-scenario", "diurnal-shift", "-intervals", "2", "-sim"}
+	if err := run(args, &out); err != nil {
+		t.Fatalf("run(%v): %v\n%s", args, err, out.String())
+	}
+	_, table, ok := strings.Cut(out.String(), "per-interval QoS attainment")
+	if !ok {
+		t.Fatalf("no simulation table:\n%s", out.String())
+	}
+	var rows []string
+	for _, line := range strings.Split(table, "\n")[2:] {
+		f := strings.Fields(line)
+		if len(f) == 0 || f[0] == "overall" {
+			break
 		}
+		rows = append(rows, f[0])
 	}
-	base := record(2759, 3.12, 4.35, 3.00)
-	cases := []struct {
-		name    string
-		history []benchRecord
-		ok      bool
-	}{
-		{"at 3x", []benchRecord{base, record(2759, 3.0, 3.0, 3.0)}, true},
-		{"iterations below 3x", []benchRecord{base, record(2759, 2.73, 3.74, 3.0)}, false},
-		{"re-solve wall below 3x", []benchRecord{base, record(2759, 3.12, 4.35, 2.06)}, false},
-		{"warm iterations +11%", []benchRecord{base, record(3063, 3.12, 4.35, 3.0)}, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "history.json")
-			data, err := json.Marshal(c.history)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			var out bytes.Buffer
-			err = run([]string{"-compare", "-bench", path}, &out)
-			if c.ok && err != nil {
-				t.Fatalf("gate failed: %v\n%s", err, out.String())
-			}
-			if !c.ok && err == nil {
-				t.Fatalf("gate passed; want failure\n%s", out.String())
-			}
-			if passed := strings.Contains(out.String(), "gate passed"); passed != c.ok {
-				t.Fatalf("printed gate passed = %v, want %v:\n%s", passed, c.ok, out.String())
-			}
-		})
+	if got := strings.Join(rows, ","); got != "0,1" {
+		t.Errorf("simulation rows %q before overall, want 0,1:\n%s", got, table)
 	}
 }
 
@@ -88,16 +51,23 @@ func TestRunRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
+		want string // substring of the error
 	}{
-		{"compare without bench", []string{"-compare"}},
-		{"no scenario", nil},
-		{"unknown scenario", []string{"-scenario", "no-such-scenario"}},
+		{"no scenario", nil, "-scenario"},
+		{"unknown scenario", []string{"-scenario", "no-such-scenario"}, "no-such-scenario"},
+		{"negative intervals", []string{"-scenario", "diurnal-shift", "-intervals", "-2"}, "-intervals"},
+		{"negative delta", []string{"-scenario", "diurnal-shift", "-delta", "-1h"}, "-delta"},
+		{"negative cache", []string{"-scenario", "diurnal-shift", "-cache", "-3", "-sim"}, "-cache"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run(c.args, &out); err == nil {
+			err := run(c.args, &out)
+			if err == nil {
 				t.Fatalf("run(%v) succeeded; want error", c.args)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("run(%v): error %q does not name %s", c.args, err, c.want)
 			}
 		})
 	}

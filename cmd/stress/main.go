@@ -1,9 +1,8 @@
 // Command stress sweeps registered scenarios up a size ladder and records
 // how solver effort scales with the site count. For every scenario and
 // every ladder size it rescales the spec (scenario.Spec.WithNodes), runs
-// the full bound sweep and writes one TSV per size — including the
-// deterministic "# solver:" footer — plus an appended data point in the
-// BENCH_scale.json history.
+// the full bound sweep and writes one TSV per size, including the
+// deterministic "# solver:" footer. The TSVs are its only artifact.
 //
 // Usage:
 //
@@ -11,14 +10,13 @@
 //	stress                                        # default ladder on the two structural families
 //	stress -scenarios flash-crowd -sizes 20,50    # one family, short ladder
 //	stress -scenarios slow-scenario@100           # skip this scenario's rungs above 100 sites
-//	stress -out results/ -bench ""                # TSVs only, no JSON record
+//	stress -out results/                          # write the TSVs elsewhere
 //	stress -stream on                             # force the streamed compile path at any size
-//	stress -compare                               # diff the last two BENCH_scale.json records
 //
 // A scenario reference may carry an "@maxSites" suffix capping the ladder
 // for that scenario alone — scenarios whose cost grows with request volume
-// (the GROUP-workload families) can then share one run, and one record,
-// with scenarios that climb the full ladder.
+// (the GROUP-workload families) can then share one run with scenarios
+// that climb the full ladder.
 //
 // Rungs at or above -xcheck-above sites additionally run the Lagrangian
 // decomposition engine on the least-constrained class and verify its bound
@@ -28,22 +26,19 @@
 // supported (class, QoS) cell to provable optimality with the subtree DP
 // (internal/exact) and asserts LP bound <= exact optimum <= certificate.
 // Every cross-check verdict is recorded in the rung's TSV footer
-// ("# xcheck:" lines) and in the BENCH_scale.json record, so a violation
-// is preserved in the run's artifacts; the run itself still writes all
-// TSVs and the bench record before exiting non-zero.
+// ("# xcheck:" lines), so a violation is preserved in the run's
+// artifacts; the run itself still writes all TSVs before exiting non-zero.
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -72,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		scenFlag    = fs.String("scenarios", "transit-stub-100,remote-office-clustered@100", "comma-separated scenario names or spec files, each optionally capped with @maxSites")
 		sizesFlag   = fs.String("sizes", "20,50,100,250,500", "comma-separated site-count ladder")
 		outFlag     = fs.String("out", ".", "directory for per-size TSV files")
-		benchFlag   = fs.String("bench", "BENCH_scale.json", "append the run's record to this JSON file (empty = skip)")
 		rounding    = fs.Bool("rounding", false, "also compute tightness certificates (slower; bounds are unchanged)")
 		parallel    = fs.Int("parallel", 0, "concurrent bound solves (0 = GOMAXPROCS, 1 = serial)")
 		solveCap    = fs.Duration("solve-timeout", 0, "wall-clock cap per LP solve (0 = unlimited)")
@@ -81,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		streamFlag  = fs.String("stream", "auto", "workload compile path: auto (stream past the size threshold), on (always stream, no materialized trace) or off")
 		xcheckAbove = fs.Int("xcheck-above", 250, "cross-check rungs with at least this many sites against the Lagrangian bound engine (0 = never)")
 		xcheckExact = fs.Bool("xcheck-exact", true, "on tree rungs, verify LP bound <= exact DP optimum <= certificate for every supported cell")
-		compareFlag = fs.Bool("compare", false, "diff per-size solver counters between the last two records of -bench and exit")
 	)
 	lpFlags := cli.RegisterLPFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -97,9 +90,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "%-26s %s\n", spec.Name, spec.Description)
 		}
 		return nil
-	}
-	if *compareFlag {
-		return compareRecords(*benchFlag, stdout)
 	}
 
 	sizes, err := parseSizes(*sizesFlag)
@@ -146,18 +136,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	opts.Bound.SkipRounding = !*rounding
 	opts.Bound.LP.Presolve = lpFlags.Presolve()
 
-	record := scaleRecord{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
 	// Cross-check violations are collected run-wide and only returned
-	// after every TSV and the bench record are on disk: the artifacts of
-	// a failed run are exactly what's needed to diagnose it, and the
-	// "# xcheck:" footers carry the verdict into the BENCH history.
+	// after every TSV is on disk: the artifacts of a failed run are
+	// exactly what's needed to diagnose it, and the "# xcheck:" footers
+	// carry each verdict.
 	var violations []string
 	for _, lad := range specs {
 		base := lad.spec
-		entry := scaleScenario{Name: base.Name}
 		for _, n := range sizes {
 			if lad.maxSites > 0 && n > lad.maxSites {
 				continue
@@ -173,17 +158,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 				return fmt.Errorf("%s at %d nodes: %w", base.Name, n, err)
 			}
 			wall := time.Since(start)
-			size := scaleSize{Nodes: n, WallNs: wall.Nanoseconds()}
-			var agg lp.Stats
-			size.Cells, agg = fig.SolverStats()
-			size.Solver = solverCounters(agg)
+			cells, agg := fig.SolverStats()
 			var footers []string
 			if *xcheckAbove > 0 && n >= *xcheckAbove {
 				xc, err := lagrangianXCheck(res.System, fig, opts.Bound.LP)
 				if err != nil {
 					return fmt.Errorf("%s at %d nodes: Lagrangian cross-check: %w", base.Name, n, err)
 				}
-				size.XCheck = xc
 				if xc != nil {
 					footers = append(footers, fmt.Sprintf(
 						"# xcheck: engine=lagrangian class=%s qos=%g lagrangian=%.6g lp=%.6g verdict=%s",
@@ -202,7 +183,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				if err != nil {
 					return fmt.Errorf("%s at %d nodes: exact cross-check: %w", base.Name, n, err)
 				}
-				size.Exact = exc
 				for _, x := range exc {
 					footers = append(footers, fmt.Sprintf(
 						"# xcheck: engine=exact class=%s qos=%g lp=%.6g exact=%g cert=%.6g replicas=%d verdict=%s",
@@ -222,23 +202,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err := writeTSV(path, fig, footers); err != nil {
 				return err
 			}
-			entry.Sizes = append(entry.Sizes, size)
 			fmt.Fprintf(stdout, "%s\tn=%d\tcells=%d\titerations=%d\twall=%s\t%s\n",
-				base.Name, n, size.Cells, agg.Iterations, wall.Round(time.Millisecond), path)
+				base.Name, n, cells, agg.Iterations, wall.Round(time.Millisecond), path)
 		}
-		record.Scenarios = append(record.Scenarios, entry)
-	}
-	if *benchFlag != "" {
-		if err := atomicio.AppendJSON(*benchFlag, record); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "appended record to %s\n", *benchFlag)
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintf(stderr, "stress: FAIL: %s\n", v)
 		}
-		return fmt.Errorf("%d cross-check violation(s); TSVs and bench record were still written", len(violations))
+		return fmt.Errorf("%d cross-check violation(s); TSVs were still written", len(violations))
 	}
 	return nil
 }
@@ -287,98 +259,33 @@ func writeTSV(path string, fig *experiments.Figure, footers []string) error {
 	return atomicio.WriteFile(path, buf.Bytes(), 0o644)
 }
 
-// scaleSolver holds the deterministic effort counters of one sweep.
-type scaleSolver struct {
-	Iterations       int `json:"iterations"`
-	Phase1Iterations int `json:"phase1Iterations"`
-	// InitialFactorizations (one per solve) and Refactorizations
-	// (mid-solve only) were one conflated counter on records written
-	// before the split; omitempty keeps those records parseable.
-	InitialFactorizations int    `json:"initialFactorizations,omitempty"`
-	Refactorizations      int    `json:"refactorizations"`
-	DegenerateSteps       int    `json:"degenerateSteps"`
-	BoundFlips            int    `json:"boundFlips"`
-	PricingScans          int64  `json:"pricingScans"`
-	WarmSolves            int    `json:"warmSolves,omitempty"`
-	ColdSolves            int    `json:"coldSolves,omitempty"`
-	PresolveRowsRemoved   int    `json:"presolveRowsRemoved,omitempty"`
-	PresolveColsRemoved   int    `json:"presolveColsRemoved,omitempty"`
-	RebindSolves          int    `json:"rebindSolves,omitempty"`
-	Pricing               string `json:"pricing,omitempty"`
-}
-
-func solverCounters(agg lp.Stats) scaleSolver {
-	return scaleSolver{
-		Iterations:            agg.Iterations,
-		Phase1Iterations:      agg.Phase1Iterations,
-		InitialFactorizations: agg.InitialFactorizations,
-		Refactorizations:      agg.Refactorizations,
-		DegenerateSteps:       agg.DegenerateSteps,
-		BoundFlips:            agg.BoundFlips,
-		PricingScans:          agg.PricingScans,
-		WarmSolves:            agg.WarmSolves,
-		ColdSolves:            agg.ColdSolves,
-		PresolveRowsRemoved:   agg.PresolveRowsRemoved,
-		PresolveColsRemoved:   agg.PresolveColsRemoved,
-		RebindSolves:          agg.RebindSolves,
-		Pricing:               agg.PricingRule,
-	}
-}
-
 // verdictOK marks a passed cross-check; any other verdict string names
-// the violated inequality and is carried verbatim into TSV footers and
-// the bench record.
+// the violated inequality and is carried verbatim into the TSV footer.
 const verdictOK = "ok"
 
-// scaleXCheck records one rung's Lagrangian cross-check: an independent
-// lower-bound engine run on the least-constrained class at the loosest QoS
-// point, whose value must never exceed the LP bound. Verdict is "ok" or
-// the violated inequality; records written before the field existed
-// parse with an empty verdict.
-type scaleXCheck struct {
-	Class      string  `json:"class"`
-	QoS        float64 `json:"qos"`
-	Lagrangian float64 `json:"lagrangian"`
-	LPBound    float64 `json:"lpBound"`
-	Verdict    string  `json:"verdict,omitempty"`
+// lagrangianCheck records one rung's Lagrangian cross-check: an
+// independent lower-bound engine run on the least-constrained class at the
+// loosest QoS point, whose value must never exceed the LP bound. Verdict
+// is "ok" or the violated inequality.
+type lagrangianCheck struct {
+	Class      string
+	QoS        float64
+	Lagrangian float64
+	LPBound    float64
+	Verdict    string
 }
 
-// scaleExactXCheck records one tree-rung cell of the exact-oracle
-// cross-check: the DP optimum bracketed by the stack's own LP bound and
-// rounded certificate.
-type scaleExactXCheck struct {
-	Class       string  `json:"class"`
-	QoS         float64 `json:"qos"`
-	LPBound     float64 `json:"lpBound"`
-	Exact       float64 `json:"exact"`
-	Certificate float64 `json:"certificate"`
-	Replicas    int     `json:"replicas"`
-	Verdict     string  `json:"verdict"`
-}
-
-// scaleSize is one ladder rung: the sweep's size, wall time and solver
-// effort. Wall time is the only non-deterministic field.
-type scaleSize struct {
-	Nodes  int                `json:"nodes"`
-	Cells  int                `json:"cells"`
-	WallNs int64              `json:"wallNs"`
-	Solver scaleSolver        `json:"solver"`
-	XCheck *scaleXCheck       `json:"xcheck,omitempty"`
-	Exact  []scaleExactXCheck `json:"exactXCheck,omitempty"`
-}
-
-// scaleScenario is one scenario's ladder.
-type scaleScenario struct {
-	Name  string      `json:"name"`
-	Sizes []scaleSize `json:"sizes"`
-}
-
-// scaleRecord is one data point of BENCH_scale.json. The file is an array
-// of records, one per recorded run, oldest first.
-type scaleRecord struct {
-	GoVersion  string          `json:"goVersion"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Scenarios  []scaleScenario `json:"scenarios"`
+// exactCheck records one tree-rung cell of the exact-oracle cross-check:
+// the DP optimum bracketed by the stack's own LP bound and rounded
+// certificate.
+type exactCheck struct {
+	Class       string
+	QoS         float64
+	LPBound     float64
+	Exact       float64
+	Certificate float64
+	Replicas    int
+	Verdict     string
 }
 
 // lagrangianXCheck runs the Lagrangian decomposition engine on the
@@ -391,7 +298,7 @@ type scaleRecord struct {
 // not as an error, so the rung's artifacts still get written; errors are
 // reserved for the check itself failing to run. Returns nil (no check)
 // when the sweep has no feasible general cell.
-func lagrangianXCheck(sys *experiments.System, fig *experiments.Figure, lpOpts lp.Options) (*scaleXCheck, error) {
+func lagrangianXCheck(sys *experiments.System, fig *experiments.Figure, lpOpts lp.Options) (*lagrangianCheck, error) {
 	var pt *experiments.Point
 	for si := range fig.Series {
 		s := &fig.Series[si]
@@ -424,7 +331,7 @@ func lagrangianXCheck(sys *experiments.System, fig *experiments.Figure, lpOpts l
 	if b.LPBound > pt.Bound*(1+tol)+tol {
 		verdict = "FAIL:lagrangian-above-lp"
 	}
-	return &scaleXCheck{Class: "general", QoS: pt.QoS, Lagrangian: b.LPBound, LPBound: pt.Bound, Verdict: verdict}, nil
+	return &lagrangianCheck{Class: "general", QoS: pt.QoS, Lagrangian: b.LPBound, LPBound: pt.Bound, Verdict: verdict}, nil
 }
 
 // exactXCheck runs the tree-network optimality oracle (internal/exact)
@@ -435,12 +342,12 @@ func lagrangianXCheck(sys *experiments.System, fig *experiments.Figure, lpOpts l
 // class shape) are skipped — the oracle only speaks where it is exact.
 // Violations land in each record's Verdict; errors mean the check could
 // not run.
-func exactXCheck(res *scenario.Result, lpOpts lp.Options) ([]scaleExactXCheck, error) {
+func exactXCheck(res *scenario.Result, lpOpts lp.Options) ([]exactCheck, error) {
 	if _, err := res.System.Topo.TreeParents(); err != nil {
 		return nil, nil
 	}
 	const tol = 1e-9
-	var out []scaleExactXCheck
+	var out []exactCheck
 	for _, tqos := range res.System.Spec.QoSPoints {
 		inst, err := res.System.Instance(tqos)
 		if err != nil {
@@ -467,7 +374,7 @@ func exactXCheck(res *scenario.Result, lpOpts lp.Options) ([]scaleExactXCheck, e
 			case sol.Cost > b.FeasibleCost+tol:
 				verdict = "FAIL:exact-above-cert"
 			}
-			out = append(out, scaleExactXCheck{
+			out = append(out, exactCheck{
 				Class:       class.Name,
 				QoS:         tqos,
 				LPBound:     b.LPBound,
@@ -483,7 +390,7 @@ func exactXCheck(res *scenario.Result, lpOpts lp.Options) ([]scaleExactXCheck, e
 
 // exactSummary condenses a rung's exact-oracle records for the progress
 // line: "all ok" or the count of failing cells.
-func exactSummary(recs []scaleExactXCheck) string {
+func exactSummary(recs []exactCheck) string {
 	failed := 0
 	for _, r := range recs {
 		if r.Verdict != verdictOK {
@@ -494,80 +401,4 @@ func exactSummary(recs []scaleExactXCheck) string {
 		return "all ok"
 	}
 	return fmt.Sprintf("%d FAILED", failed)
-}
-
-// compareRecords diffs the per-size solver counters between the last two
-// records of the BENCH_scale.json history, matching scenarios by name and
-// rungs by node count. A rung whose deterministic iteration count grew by
-// more than 10% is a regression: after the full diff prints, the
-// regressions come back as an error so CI exits non-zero.
-func compareRecords(path string, w io.Writer) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var history []scaleRecord
-	if err := json.Unmarshal(data, &history); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(history) < 2 {
-		return fmt.Errorf("%s holds %d record(s); need at least 2 to compare", path, len(history))
-	}
-	prev, last := history[len(history)-2], history[len(history)-1]
-	fmt.Fprintf(w, "comparing records %d (%s) -> %d (%s) of %s\n",
-		len(history)-1, prev.GoVersion, len(history), last.GoVersion, path)
-	var regressions []string
-	for _, sc := range last.Scenarios {
-		var base *scaleScenario
-		for i := range prev.Scenarios {
-			if prev.Scenarios[i].Name == sc.Name {
-				base = &prev.Scenarios[i]
-				break
-			}
-		}
-		if base == nil {
-			fmt.Fprintf(w, "%s: no baseline scenario in previous record\n", sc.Name)
-			continue
-		}
-		for _, sz := range sc.Sizes {
-			var old *scaleSize
-			for i := range base.Sizes {
-				if base.Sizes[i].Nodes == sz.Nodes {
-					old = &base.Sizes[i]
-					break
-				}
-			}
-			if old == nil {
-				fmt.Fprintf(w, "%s n=%d: new rung (no baseline)\n", sc.Name, sz.Nodes)
-				continue
-			}
-			fmt.Fprintf(w, "%s n=%d:\n", sc.Name, sz.Nodes)
-			cmp := func(name, format string, o, n float64) {
-				ratio := "     -"
-				if o != 0 {
-					ratio = fmt.Sprintf("%5.2fx", n/o)
-				}
-				fmt.Fprintf(w, "  %-24s %14s -> %-14s %s\n",
-					name, fmt.Sprintf(format, o), fmt.Sprintf(format, n), ratio)
-			}
-			cmp("wall-seconds", "%.1f", time.Duration(old.WallNs).Seconds(), time.Duration(sz.WallNs).Seconds())
-			cmp("iterations", "%.0f", float64(old.Solver.Iterations), float64(sz.Solver.Iterations))
-			cmp("phase1-iterations", "%.0f", float64(old.Solver.Phase1Iterations), float64(sz.Solver.Phase1Iterations))
-			cmp("initial-factorizations", "%.0f", float64(old.Solver.InitialFactorizations), float64(sz.Solver.InitialFactorizations))
-			cmp("refactorizations", "%.0f", float64(old.Solver.Refactorizations), float64(sz.Solver.Refactorizations))
-			cmp("degenerate-steps", "%.0f", float64(old.Solver.DegenerateSteps), float64(sz.Solver.DegenerateSteps))
-			cmp("bound-flips", "%.0f", float64(old.Solver.BoundFlips), float64(sz.Solver.BoundFlips))
-			cmp("pricing-scans", "%.0f", float64(old.Solver.PricingScans), float64(sz.Solver.PricingScans))
-			if old.Solver.Iterations > 0 && float64(sz.Solver.Iterations) > 1.1*float64(old.Solver.Iterations) {
-				regressions = append(regressions, fmt.Sprintf("%s n=%d: iterations %d -> %d (+%.0f%%)",
-					sc.Name, sz.Nodes, old.Solver.Iterations, sz.Solver.Iterations,
-					100*(float64(sz.Solver.Iterations)/float64(old.Solver.Iterations)-1)))
-			}
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("%d iteration regression(s) beyond 10%%:\n  %s",
-			len(regressions), strings.Join(regressions, "\n  "))
-	}
-	return nil
 }

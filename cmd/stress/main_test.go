@@ -3,10 +3,11 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -35,7 +36,7 @@ func TestTinyLadderGolden(t *testing.T) {
 	dir := t.TempDir()
 	var out, errw strings.Builder
 	err := run([]string{"-scenarios", "transit-stub-100,remote-office-clustered,tree-kary-63@12",
-		"-sizes", "8,12", "-out", dir, "-bench", ""}, &out, &errw)
+		"-sizes", "8,12", "-out", dir}, &out, &errw)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, errw.String())
 	}
@@ -60,13 +61,12 @@ func TestTinyLadderGolden(t *testing.T) {
 }
 
 // TestRunTreeRungRecordsOracleVerdict: a tree rung must carry the exact
-// oracle's verdict both in the TSV footer and in the bench record, so a
-// BENCH_scale.json data point is self-certifying.
+// oracle's verdict for every supported cell in its TSV footer, so the
+// rung's artifact is self-certifying.
 func TestRunTreeRungRecordsOracleVerdict(t *testing.T) {
 	dir := t.TempDir()
-	bench := filepath.Join(dir, "BENCH_scale.json")
 	var out, errw strings.Builder
-	err := run([]string{"-scenarios", "tree-kary-63", "-sizes", "10", "-out", dir, "-bench", bench}, &out, &errw)
+	err := run([]string{"-scenarios", "tree-kary-63", "-sizes", "10", "-out", dir}, &out, &errw)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, errw.String())
 	}
@@ -75,40 +75,47 @@ func TestRunTreeRungRecordsOracleVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, class := range []string{"general", "tree-upwards"} {
-		want := "# xcheck: engine=exact class=" + class
-		if !strings.Contains(string(tsv), want) {
-			t.Errorf("TSV footer lacks %q:\n%s", want, tsv)
+	var classes []string
+	for _, line := range strings.Split(string(tsv), "\n") {
+		if !strings.HasPrefix(line, "# xcheck: engine=exact ") {
+			continue
+		}
+		f := footerFields(line)
+		classes = append(classes, f["class"])
+		if f["verdict"] != verdictOK {
+			t.Errorf("%s qos=%s: verdict %q", f["class"], f["qos"], f["verdict"])
+		}
+		lpBound, exactCost, cert := parseFloat(t, f["lp"]), parseFloat(t, f["exact"]), parseFloat(t, f["cert"])
+		// lp and cert are printed to six significant digits.
+		tol := 1e-5 * math.Max(1, math.Abs(exactCost))
+		if !(lpBound <= exactCost+tol && exactCost <= cert+tol) {
+			t.Errorf("%s qos=%s: oracle chain violated: lp=%g exact=%g cert=%g",
+				f["class"], f["qos"], lpBound, exactCost, cert)
 		}
 	}
-	if strings.Contains(string(tsv), "FAIL") {
-		t.Errorf("oracle verdicts must be ok on the builtin tree scenario:\n%s", tsv)
+	if got := strings.Join(classes, ","); got != "general,tree-upwards" {
+		t.Errorf("exact xcheck footers for classes %q, want general,tree-upwards:\n%s", got, tsv)
 	}
+}
 
-	data, err := os.ReadFile(bench)
+// footerFields splits a "# xcheck:" footer into its key=value fields.
+func footerFields(line string) map[string]string {
+	f := map[string]string{}
+	for _, kv := range strings.Fields(line) {
+		if k, v, ok := strings.Cut(kv, "="); ok {
+			f[k] = v
+		}
+	}
+	return f
+}
+
+func parseFloat(t *testing.T, s string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("footer value %q: %v", s, err)
 	}
-	var history []scaleRecord
-	if err := json.Unmarshal(data, &history); err != nil {
-		t.Fatalf("bench record: %v", err)
-	}
-	if len(history) != 1 || len(history[0].Scenarios) != 1 || len(history[0].Scenarios[0].Sizes) != 1 {
-		t.Fatalf("unexpected bench shape: %s", data)
-	}
-	recs := history[0].Scenarios[0].Sizes[0].Exact
-	if len(recs) != 2 {
-		t.Fatalf("want 2 exact xcheck records, got %d: %s", len(recs), data)
-	}
-	for _, r := range recs {
-		if r.Verdict != verdictOK {
-			t.Errorf("%s qos=%g: verdict %q", r.Class, r.QoS, r.Verdict)
-		}
-		if !(r.LPBound <= r.Exact+1e-9 && r.Exact <= r.Certificate+1e-9) {
-			t.Errorf("%s qos=%g: oracle chain violated: lp=%g exact=%g cert=%g",
-				r.Class, r.QoS, r.LPBound, r.Exact, r.Certificate)
-		}
-	}
+	return v
 }
 
 // TestRunXCheckExactOff: the oracle is skippable, and non-tree scenarios
@@ -116,7 +123,7 @@ func TestRunTreeRungRecordsOracleVerdict(t *testing.T) {
 func TestRunXCheckExactOff(t *testing.T) {
 	dir := t.TempDir()
 	var out, errw strings.Builder
-	err := run([]string{"-scenarios", "tree-kary-63", "-sizes", "10", "-xcheck-exact=false", "-out", dir, "-bench", ""}, &out, &errw)
+	err := run([]string{"-scenarios", "tree-kary-63", "-sizes", "10", "-xcheck-exact=false", "-out", dir}, &out, &errw)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, errw.String())
 	}
@@ -139,7 +146,7 @@ func TestRunStreamedRungByteIdentical(t *testing.T) {
 		dir := t.TempDir()
 		var out, errw strings.Builder
 		err := run([]string{"-scenarios", "remote-office-clustered", "-sizes", "10",
-			"-stream", mode, "-xcheck-exact=false", "-out", dir, "-bench", ""}, &out, &errw)
+			"-stream", mode, "-xcheck-exact=false", "-out", dir}, &out, &errw)
 		if err != nil {
 			t.Fatalf("run -stream %s: %v\nstderr: %s", mode, err, errw.String())
 		}

@@ -4,15 +4,11 @@
 // directory, is flushed to stable storage, and is renamed over the
 // destination; rename within one directory is atomic on POSIX, so the
 // path always holds either the old complete content or the new complete
-// content. The benchmark history files (BENCH_scale.json and
-// BENCH_controller.json), stress TSVs and the distributed result store all
-// write through here, so an interrupted run can truncate nothing it did
-// not create.
+// content. Stress TSVs and the distributed result store write through
+// here, so an interrupted run can truncate nothing it did not create.
 package atomicio
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -53,33 +49,6 @@ func WriteFile(path string, data []byte, perm os.FileMode) error {
 		return fmt.Errorf("atomicio: %w", err)
 	}
 	return syncDir(dir)
-}
-
-// AppendJSON extends the JSON-array history file at path with one record
-// and atomically replaces the file. A missing or empty file starts a new
-// history. A file that does not hold a JSON array is an error and is left
-// untouched, so a crash or a bad file never costs the prior records.
-func AppendJSON(path string, rec any) error {
-	var history []json.RawMessage
-	if data, err := os.ReadFile(path); err == nil {
-		if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 {
-			if err := json.Unmarshal(trimmed, &history); err != nil {
-				return fmt.Errorf("existing %s: %w", path, err)
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	history = append(history, raw)
-	out, err := json.MarshalIndent(history, "", "  ")
-	if err != nil {
-		return err
-	}
-	return WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // syncDir fsyncs a directory so a just-completed rename is durable.
