@@ -45,7 +45,6 @@ func run() error {
 		skipRound    = flag.Bool("skip-rounding", false, "compute LP bounds only (no tightness certificate)")
 		parallel     = flag.Int("parallel", 0, "concurrent bound solves (0 = GOMAXPROCS, 1 = serial)")
 		solveTimeout = flag.Duration("solve-timeout", 0, "wall-clock cap per LP solve (0 = unlimited)")
-		warmStart    = flag.Bool("warm-start", true, "reuse each solution's basis to seed the next QoS point of a class (false = every cell solves cold)")
 		verbose      = flag.Bool("v", false, "print per-bound progress (incl. solver stats) to stderr")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	)
@@ -101,7 +100,6 @@ func run() error {
 		Parallel:     *parallel,
 		SolveTimeout: *solveTimeout,
 		Ctx:          ctx,
-		ColdStart:    !*warmStart,
 	}
 	opts.Bound.SkipRounding = *skipRound
 	opts.Bound.LP.Presolve = lpFlags.Presolve()

@@ -31,7 +31,6 @@ func run(args []string, stdout io.Writer) error {
 		zetaFlag     = fs.Float64("zeta", 0, "node-opening cost (0 = scale preset)")
 		parallel     = fs.Int("parallel", 0, "concurrent bound solves in phase 2 (0 = GOMAXPROCS, 1 = serial)")
 		solveTimeout = fs.Duration("solve-timeout", 0, "wall-clock cap per LP solve (0 = unlimited)")
-		warmStart    = fs.Bool("warm-start", true, "reuse each solution's basis to seed the next QoS point of a class (false = every cell solves cold)")
 		verbose      = fs.Bool("v", false, "print per-bound progress (incl. solver stats) to stderr")
 	)
 	lpFlags := cli.RegisterLPFlags(fs)
@@ -64,7 +63,6 @@ func run(args []string, stdout io.Writer) error {
 		Parallel:     *parallel,
 		SolveTimeout: *solveTimeout,
 		Ctx:          ctx,
-		ColdStart:    !*warmStart,
 	}
 	opts.Bound.LP.Presolve = lpFlags.Presolve()
 	res, err := experiments.Figure3(sys, opts, cli.Progress(*verbose, os.Stderr))

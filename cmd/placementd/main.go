@@ -66,7 +66,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		parallel     = fs.Int("parallel", 0, "per-job sweep fan-out (0 = GOMAXPROCS)")
 		solveTimeout = fs.Duration("solve-timeout", 0, "default wall-clock cap per LP solve (0 = unlimited)")
 		checkEvery   = fs.Int("check-every", 0, "simplex cancellation poll interval in iterations (0 = solver default)")
-		warmStart    = fs.Bool("warm-start", true, "reuse each solution's basis to seed the next QoS point of a class within a job (false = every cell solves cold)")
 		maxJobs      = fs.Int("max-jobs", 1024, "retained finished jobs")
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "grace period for in-flight jobs on shutdown")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -116,7 +115,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 			Concurrency:  *workers,
 			SolveTimeout: *solveTimeout,
 			CheckEvery:   *checkEvery,
-			ColdStart:    !*warmStart,
 			Presolve:     presolveMode,
 		})
 		if *coordURL != "" {
@@ -135,7 +133,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		Parallel:     *parallel,
 		SolveTimeout: *solveTimeout,
 		CheckEvery:   *checkEvery,
-		ColdStart:    !*warmStart,
 		Presolve:     presolveMode,
 		MaxJobs:      *maxJobs,
 	}

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"wideplace/internal/core"
@@ -64,7 +65,8 @@ func run() error {
 		if cb.Class.Name == sel.Best.Class.Name {
 			verdict = "<= pick a heuristic from this class"
 		}
-		fmt.Printf("%-26s %-12.0f %-12.0f %s\n", cb.Class.Name, cb.Bound.LPBound, cb.Bound.FeasibleCost, verdict)
+		row := fmt.Sprintf("%-26s %-12.0f %-12.0f %s", cb.Class.Name, cb.Bound.LPBound, cb.Bound.FeasibleCost, verdict)
+		fmt.Println(strings.TrimRight(row, " "))
 	}
 	return nil
 }

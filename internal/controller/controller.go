@@ -118,16 +118,6 @@ func New(cfg Config) (*Controller, error) {
 	return &Controller{cfg: cfg, drift: drift}, nil
 }
 
-// Interval reports the index of the next interval Step will plan.
-func (c *Controller) Interval() int { return c.interval }
-
-// Placement returns the controller's current integral placement (nil
-// before the first step). The caller must not mutate it.
-func (c *Controller) Placement() [][]bool { return c.placement }
-
-// NumVars reports the structural variable count of the compiled problem.
-func (c *Controller) NumVars() int { return c.drift.NumVars() }
-
 // Step plans the next interval for the given demand matrix (reads[n][k]).
 // It rewrites only the drifted read-count coefficients, carries the
 // previous interval's placement over as the initial condition (so holding

@@ -38,9 +38,13 @@ func smallSystem(t *testing.T) (*topology.Topology, *workload.Trace, *workload.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := workload.GenerateFlashCrowd(workload.FlashCrowdOptions{
+	st, err := workload.StreamFlashCrowd(workload.FlashCrowdOptions{
 		Nodes: 8, Objects: 8, Requests: 4000, Duration: 6 * time.Hour, Seed: 5,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := st.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +282,7 @@ func TestNewRejectsCallerStartBasis(t *testing.T) {
 	if _, err := ctl.Step(reads); err != nil {
 		t.Fatal(err)
 	}
-	if ctl.Interval() != 1 {
-		t.Fatalf("Interval() = %d after one step", ctl.Interval())
+	if ctl.interval != 1 {
+		t.Fatalf("interval = %d after one step", ctl.interval)
 	}
 }

@@ -123,24 +123,6 @@ func (in *Instance) initiallyStored(n, k int) bool {
 	return in.Initial != nil && in.Initial[n][k]
 }
 
-// WarmInitial returns an initial placement holding every object on every
-// placement node — the "long-running system" assumption under which even
-// single-interval-history reactive heuristics can serve interval 0.
-func (in *Instance) WarmInitial() [][]bool {
-	nN, _, nK := in.Dims()
-	out := make([][]bool, nN)
-	for n := range out {
-		out[n] = make([]bool, nK)
-		if n == in.Topo.Origin {
-			continue
-		}
-		for k := range out[n] {
-			out[n][k] = true
-		}
-	}
-	return out
-}
-
 // NewInstance validates and assembles an instance.
 func NewInstance(topo *topology.Topology, counts *workload.Counts, cost Cost, goal Goal) (*Instance, error) {
 	if topo == nil || counts == nil {
@@ -176,29 +158,6 @@ func NewInstance(topo *topology.Topology, counts *workload.Counts, cost Cost, go
 // Dims returns (nodes, intervals, objects).
 func (in *Instance) Dims() (n, i, k int) {
 	return in.Counts.Nodes, in.Counts.Intervals, in.Counts.Objects
-}
-
-// MaxQoS returns the largest achievable QoS fraction for node n under a
-// class: the share of n's reads that can be served within Tlat even with
-// replicas on every node reachable through the class's fetch matrix. A
-// class whose MaxQoS is below Tqos for some node cannot meet the goal at
-// any cost (this is how "local caching cannot even achieve a QoS goal above
-// 99%" manifests for WEB in the paper).
-func (in *Instance) MaxQoS(class *Class, n int) float64 {
-	reach := in.Reach(class)
-	total := 0
-	for i := 0; i < in.Counts.Intervals; i++ {
-		for k := 0; k < in.Counts.Objects; k++ {
-			total += in.Counts.Reads[n][i][k]
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	if len(reach[n]) > 0 || in.originReachable(class, n) {
-		return 1
-	}
-	return 0
 }
 
 // Reach returns, for each node n, the placement-candidate nodes m (origin

@@ -11,15 +11,15 @@ import (
 )
 
 // DriftQoS is a compiled single-interval MC-PERF relaxation whose read
-// counts, initial placement and QoS goal can all be moved between solves
-// without rebuilding the model. It is the LP core of the online placement
+// counts and initial placement can both be moved between solves without
+// rebuilding the model. It is the LP core of the online placement
 // controller: one interval of demand is one solve, and consecutive
 // intervals differ only in
 //
 //   - the read-count coefficients of the QoS rows (SetCoef per drifted
 //     cell),
-//   - the QoS right-hand sides (a two-float write per node, exactly like
-//     CompiledQoS.Rebind), and
+//   - the QoS right-hand sides, which follow the read totals (a two-float
+//     write per node, exactly like CompiledQoS.Rebind), and
 //   - the interval-0 create-row right-hand sides that encode which
 //     replicas the previous interval left behind (SetInitial).
 //
@@ -35,8 +35,8 @@ import (
 // payoff is that the previous interval's basis stays shape-compatible and
 // warm-starts the next solve.
 //
-// A DriftQoS is not safe for concurrent use: SetReads, SetInitial and
-// Rebind mutate the underlying Problem in place.
+// A DriftQoS is not safe for concurrent use: SetReads and SetInitial
+// mutate the underlying Problem in place.
 type DriftQoS struct {
 	in    Instance
 	class *Class
@@ -46,7 +46,6 @@ type DriftQoS struct {
 	// node n within the threshold; reads on non-coverable nodes make any
 	// goal unattainable, exactly as in a fresh build.
 	coverable []bool
-	rebound   bool
 }
 
 // CompileDriftQoS builds the drift-rebindable single-interval relaxation
@@ -126,12 +125,6 @@ func CompileDriftQoS(topo *topology.Topology, objects int, delta time.Duration, 
 	}
 	return d, nil
 }
-
-// Goal reports the goal the compiled problem is currently bound to.
-func (d *DriftQoS) Goal() Goal { return d.in.Goal }
-
-// NumVars reports the structural variable count of the compiled problem.
-func (d *DriftQoS) NumVars() int { return d.prob.NumStruct() }
 
 // SetReads moves the compiled problem to a new per-(node, object) demand
 // matrix, rewriting only the QoS-row coefficients that actually drifted.
@@ -242,26 +235,8 @@ func (d *DriftQoS) SetInitial(initial [][]bool) error {
 	return nil
 }
 
-// Rebind moves the compiled problem's QoS goal to tqos, mutating only the
-// QoS rows' right-hand sides (full-support rows are attainable at every
-// goal in (0, 1], so unlike CompiledQoS.Rebind no attainability sweep is
-// needed).
-func (d *DriftQoS) Rebind(tqos float64) error {
-	if !(tqos > 0 && tqos <= 1) {
-		return fmt.Errorf("core: Rebind target %g outside (0, 1]", tqos)
-	}
-	for _, m := range d.b.qosMeta {
-		if err := d.prob.SetRowBounds(m.row, tqos*m.total-m.constCovered, lp.Inf); err != nil {
-			return err
-		}
-	}
-	d.in.Goal.Tqos = tqos
-	d.rebound = true
-	return nil
-}
-
-// LowerBound solves the compiled problem at its current demand, initial
-// placement and goal, finishing the bound exactly like Instance.LowerBound
+// LowerBound solves the compiled problem at its current demand and initial
+// placement, finishing the bound exactly like Instance.LowerBound
 // (rounding included, so Bound.Store carries the interval's integral
 // placement). Pass the previous interval's Bound.Basis through
 // opts.LP.Start to warm-start the solve.
@@ -272,9 +247,6 @@ func (d *DriftQoS) LowerBound(opts BoundOptions) (*Bound, error) {
 			return nil, fmt.Errorf("%w (class %s)", ErrGoalUnattainable, d.class.Name)
 		}
 		return nil, fmt.Errorf("solve %s drift bound: %w", d.class.Name, err)
-	}
-	if d.rebound {
-		sol.Stats.RebindSolves = 1
 	}
 	return d.in.finishQoSBound(d.class, d.b, sol, opts)
 }

@@ -17,14 +17,14 @@ func driftCounts(t *testing.T, nodes, objects int) (*topology.Topology, *workloa
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := workload.GenerateDiurnal(workload.DiurnalOptions{
+	st, err := workload.StreamDiurnal(workload.DiurnalOptions{
 		Nodes: nodes, Objects: objects, Requests: 2500, Duration: 12 * time.Hour,
 		Period: 12 * time.Hour, Seed: 9, ObjectDrift: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := tr.Bucket(3 * time.Hour)
+	c, err := st.Counts(3 * time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,47 +198,5 @@ func TestDriftQoSFarNodeForcesLocalReplica(t *testing.T) {
 	}
 	if diff := math.Abs(got.LPBound - want.LPBound); diff > 1e-9*math.Max(1, want.LPBound) {
 		t.Fatalf("drift bound %.12f, fresh build %.12f", got.LPBound, want.LPBound)
-	}
-}
-
-// Rebinding the goal composes with drift rebinds: after moving demand and
-// goal, the bound still matches a fresh build at the final state.
-func TestDriftQoSRebindComposesWithSetReads(t *testing.T) {
-	topo, counts := driftCounts(t, 7, 5)
-	d, err := CompileDriftQoS(topo, counts.Objects, counts.Delta, DefaultCost(), QoS(0.9, 60), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r0, _ := counts.IntervalReads(0)
-	r1, _ := counts.IntervalReads(1)
-	if _, err := d.SetReads(r0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.LowerBound(BoundOptions{SkipRounding: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.SetReads(r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Rebind(0.99); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.LowerBound(BoundOptions{SkipRounding: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := NewInstance(topo, singleInterval(r1, counts.Objects, counts.Delta), DefaultCost(), QoS(0.99, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := in.LowerBound(nil, BoundOptions{SkipRounding: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := math.Abs(got.LPBound - want.LPBound); diff > 1e-9*math.Max(1, want.LPBound) {
-		t.Fatalf("rebind+drift bound %.12f, fresh build %.12f", got.LPBound, want.LPBound)
-	}
-	if got.Stats.RebindSolves != 1 {
-		t.Fatalf("RebindSolves = %d, want 1", got.Stats.RebindSolves)
 	}
 }

@@ -3,11 +3,23 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"wideplace/internal/workload"
 )
+
+// allStored returns an initial placement holding every object on every
+// node: the "long-running system" assumption under which even
+// single-interval-history reactive heuristics can serve interval 0.
+func allStored(in *Instance) [][]bool {
+	out := make([][]bool, in.Topo.N)
+	for n := range out {
+		out[n] = slices.Repeat([]bool{true}, in.Counts.Objects)
+	}
+	return out
+}
 
 func TestSetInitialValidation(t *testing.T) {
 	tp := lineTopo(t)
@@ -22,7 +34,7 @@ func TestSetInitialValidation(t *testing.T) {
 	if err := inst.SetInitial([][]bool{{true}, {true}, {true}}); err == nil {
 		t.Error("short object row accepted")
 	}
-	if err := inst.SetInitial(inst.WarmInitial()); err != nil {
+	if err := inst.SetInitial(allStored(inst)); err != nil {
 		t.Errorf("warm initial rejected: %v", err)
 	}
 	if err := inst.SetInitial(nil); err != nil || inst.Initial != nil {
@@ -44,7 +56,7 @@ func TestInitialPlacementUnblocksReactiveColdStart(t *testing.T) {
 	if _, err := inst.LowerBound(Caching(tp), BoundOptions{}); !errors.Is(err, ErrGoalUnattainable) {
 		t.Fatalf("cold start should be unattainable, got %v", err)
 	}
-	if err := inst.SetInitial(inst.WarmInitial()); err != nil {
+	if err := inst.SetInitial(allStored(inst)); err != nil {
 		t.Fatal(err)
 	}
 	b, err := inst.LowerBound(Caching(tp), BoundOptions{})
@@ -106,7 +118,7 @@ func TestInitialHistoryExpires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inst.SetInitial(inst.WarmInitial()); err != nil {
+	if err := inst.SetInitial(allStored(inst)); err != nil {
 		t.Fatal(err)
 	}
 	ca := inst.createAllowed(Caching(tp))
@@ -129,7 +141,7 @@ func TestInitialHistoryExpires(t *testing.T) {
 
 func TestWarmLagrangianMatchesExact(t *testing.T) {
 	inst := lagSystem(t, 23, 6, 10, 900)
-	if err := inst.SetInitial(inst.WarmInitial()); err != nil {
+	if err := inst.SetInitial(allStored(inst)); err != nil {
 		t.Fatal(err)
 	}
 	exact, err := inst.LowerBound(General(), BoundOptions{SkipRounding: true})

@@ -24,8 +24,6 @@ import (
 type LagrangianOptions struct {
 	// MaxIters caps subgradient iterations (0 = 300).
 	MaxIters int
-	// Theta is the initial relative step size (0 = 2.0).
-	Theta float64
 	// LP configures the per-object subproblem solver.
 	LP lp.Options
 }
@@ -33,9 +31,6 @@ type LagrangianOptions struct {
 func (o LagrangianOptions) withDefaults() LagrangianOptions {
 	if o.MaxIters == 0 {
 		o.MaxIters = 300
-	}
-	if o.Theta == 0 {
-		o.Theta = 2.0
 	}
 	return o
 }
@@ -286,7 +281,7 @@ func (eng *lagrangian) solve() (*Bound, error) {
 	repObjUnit := in.Cost.Alpha * float64(nK*nI)           // R's cost (RC)
 
 	best := 0.0
-	theta := eng.opts.Theta
+	theta := 2.0 // relative step size, halved after 10 steps without progress
 	stall := 0
 	store := make([][]float64, nN)
 	for n := range store {

@@ -110,91 +110,6 @@ func TestPlanDeploymentRejectsZeroZeta(t *testing.T) {
 	}
 }
 
-func TestSetCoverReduction(t *testing.T) {
-	cases := []struct {
-		name  string
-		elems int
-		sets  [][]int
-	}{
-		{"single set covers all", 3, [][]int{{0, 1, 2}}},
-		{"two disjoint sets", 4, [][]int{{0, 1}, {2, 3}}},
-		{"greedy trap", 6, [][]int{{0, 1, 2, 3}, {0, 1, 4}, {2, 3, 5}, {4, 5}}},
-		{"singletons", 3, [][]int{{0}, {1}, {2}}},
-		{"overlapping", 5, [][]int{{0, 1, 2}, {1, 2, 3}, {3, 4}, {0, 4}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			red, err := NewSetCoverReduction(tc.elems, tc.sets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := float64(BruteForceSetCover(tc.elems, tc.sets))
-			b, err := red.Instance.LowerBound(red.Class, BoundOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b.LPBound > opt+1e-6 {
-				t.Errorf("LP bound %g exceeds optimum %g", b.LPBound, opt)
-			}
-			if b.FeasibleCost < opt-1e-6 {
-				t.Errorf("rounded cover %g below optimum %g (infeasible?)", b.FeasibleCost, opt)
-			}
-			// The greedy rounding achieves the optimum on these small
-			// instances (ln(n)-approximation bound, exact here).
-			if b.FeasibleCost > opt*2+1e-6 {
-				t.Errorf("rounded cover %g too far above optimum %g", b.FeasibleCost, opt)
-			}
-		})
-	}
-}
-
-func TestSetCoverReductionValidation(t *testing.T) {
-	if _, err := NewSetCoverReduction(0, [][]int{{0}}); err == nil {
-		t.Error("zero elements accepted")
-	}
-	if _, err := NewSetCoverReduction(2, [][]int{{0}}); err == nil {
-		t.Error("uncoverable element accepted")
-	}
-	if _, err := NewSetCoverReduction(2, [][]int{{0, 5}}); err == nil {
-		t.Error("out-of-range element accepted")
-	}
-}
-
-func TestBruteForceSetCover(t *testing.T) {
-	if got := BruteForceSetCover(3, [][]int{{0, 1, 2}}); got != 1 {
-		t.Errorf("got %d, want 1", got)
-	}
-	if got := BruteForceSetCover(4, [][]int{{0, 1}, {2, 3}, {0, 2}}); got != 2 {
-		t.Errorf("got %d, want 2", got)
-	}
-	if got := BruteForceSetCover(2, [][]int{{0}}); got != 3+1-1 {
-		// One set, element 1 uncovered: sentinel len(sets)+1 = 2.
-		if got != 2 {
-			t.Errorf("got %d, want sentinel 2", got)
-		}
-	}
-}
-
-func TestMaxQoSReflectsReachability(t *testing.T) {
-	tp := lineTopo(t)
-	acc := []workload.Access{{Node: 2}}
-	counts := traceCounts(t, 3, 1, time.Hour, time.Hour, acc)
-	inst, err := NewInstance(tp, counts, DefaultCost(), QoS(1.0, 150))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q := inst.MaxQoS(General(), 2); q != 1 {
-		t.Errorf("general MaxQoS(2) = %g, want 1", q)
-	}
-	if q := inst.MaxQoS(General(), 1); q != 1 {
-		t.Errorf("MaxQoS(1) = %g, want 1", q)
-	}
-	// Node with no reads: vacuous 1.
-	if q := inst.MaxQoS(General(), 0); q != 1 {
-		t.Errorf("MaxQoS(0) = %g, want 1", q)
-	}
-}
-
 func TestCloseToGeneral(t *testing.T) {
 	s := &Selection{
 		General: &Bound{LPBound: 100},

@@ -19,22 +19,6 @@ type qosRowMeta struct {
 	maxAttain    float64
 }
 
-// RebindQoS returns a copy of the instance with the QoS goal moved to
-// tqos. Everything heavy in an Instance (topology, counts) is shared by
-// reference; only the goal differs, which is what makes sweeping a goal
-// axis over one system cheap.
-func (in *Instance) RebindQoS(tqos float64) (*Instance, error) {
-	if in.Goal.Kind != QoSGoal {
-		return nil, fmt.Errorf("core: RebindQoS on goal kind %d", in.Goal.Kind)
-	}
-	if !(tqos > 0 && tqos <= 1) {
-		return nil, fmt.Errorf("core: RebindQoS target %g outside (0, 1]", tqos)
-	}
-	out := *in
-	out.Goal.Tqos = tqos
-	return &out, nil
-}
-
 // CompiledQoS is a compiled, solver-ready MC-PERF relaxation whose QoS
 // goal can be moved between solves without rebuilding or recompiling the
 // model. The QoS goal only appears in the right-hand sides of the QoS
@@ -75,9 +59,6 @@ func (in *Instance) CompileQoS(class *Class) (*CompiledQoS, error) {
 	}
 	return &CompiledQoS{in: *in, class: class, b: b, prob: prob}, nil
 }
-
-// Goal reports the goal the compiled problem is currently bound to.
-func (c *CompiledQoS) Goal() Goal { return c.in.Goal }
 
 // Rebind moves the compiled problem's QoS goal to tqos, mutating only the
 // QoS rows' right-hand sides. It re-runs the same attainability check the

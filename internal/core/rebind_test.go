@@ -27,34 +27,6 @@ func TestGapUnboundedWhenBoundZero(t *testing.T) {
 	}
 }
 
-func TestRebindQoSInstance(t *testing.T) {
-	tp, tr := smallSystem(t, 7)
-	counts, err := tr.Bucket(time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := NewInstance(tp, counts, DefaultCost(), QoS(0.7, 150))
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := inst.RebindQoS(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Goal.Tqos != 0.9 || inst.Goal.Tqos != 0.7 {
-		t.Errorf("rebind mutated the original: got %g/%g", re.Goal.Tqos, inst.Goal.Tqos)
-	}
-	if re.Counts != inst.Counts || re.Topo != inst.Topo {
-		t.Error("rebound instance does not share topology/counts")
-	}
-	if _, err := inst.RebindQoS(0); err == nil {
-		t.Error("tqos = 0 accepted")
-	}
-	if _, err := inst.RebindQoS(1.5); err == nil {
-		t.Error("tqos = 1.5 accepted")
-	}
-}
-
 // TestCompiledQoSMatchesFreshBuilds is the rebind equivalence property:
 // compiling once and moving the goal between solves must reproduce the
 // fresh per-goal builds — same bounds, same rounding certificates, same
@@ -82,13 +54,9 @@ func TestCompiledQoSMatchesFreshBuilds(t *testing.T) {
 		}
 		var start *lp.Basis
 		for gi, tqos := range goals {
-			fresh, freshErr := func() (*Bound, error) {
-				fi, err := inst.RebindQoS(tqos)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return fi.LowerBound(class, BoundOptions{})
-			}()
+			fi := *inst
+			fi.Goal.Tqos = tqos
+			fresh, freshErr := fi.LowerBound(class, BoundOptions{})
 			if gi > 0 {
 				if err := comp.Rebind(tqos); err != nil {
 					if freshErr == nil {
@@ -163,10 +131,8 @@ func TestCompiledQoSUnattainableMatchesFresh(t *testing.T) {
 		}
 		foundMismatch := false
 		for _, tqos := range []float64{0.3, 0.6, 0.9, 0.99} {
-			fi, err := inst.RebindQoS(tqos)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fi := *inst
+			fi.Goal.Tqos = tqos
 			_, freshErr := fi.LowerBound(class, BoundOptions{SkipRounding: true})
 			rebindErr := comp.Rebind(tqos)
 			var compErr error

@@ -3,13 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"testing"
 	"time"
 
 	"wideplace/internal/topology"
 	"wideplace/internal/workload"
 )
 
-// This file realizes the paper's NP-hardness reduction (Appendix A):
+// The paper's NP-hardness reduction (Appendix A), reproduced for tests:
 // SET-COVER maps to MC-PERF with one object, one interval, a 100% QoS goal,
 // alpha = 1 and beta = 0. Candidate sets and elements become nodes;
 // dist(element, set) = 1 exactly when the set covers the element. The
@@ -20,9 +21,9 @@ import (
 // the class's routing-knowledge (fetch) matrix, which the formulation
 // combines with dist in the coverage constraint (18).
 
-// SetCoverReduction bundles the MC-PERF instance encoding a SET-COVER
+// setCoverReduction bundles the MC-PERF instance encoding a SET-COVER
 // input.
-type SetCoverReduction struct {
+type setCoverReduction struct {
 	Instance *Instance
 	Class    *Class
 	// SetNode[s] is the node index of candidate set s; ElemNode[e] of
@@ -31,10 +32,10 @@ type SetCoverReduction struct {
 	ElemNode []int
 }
 
-// NewSetCoverReduction builds the Appendix A reduction for the given
+// newSetCoverReduction builds the Appendix A reduction for the given
 // SET-COVER input: sets[s] lists the elements (0..numElements-1) covered by
 // candidate set s.
-func NewSetCoverReduction(numElements int, sets [][]int) (*SetCoverReduction, error) {
+func newSetCoverReduction(numElements int, sets [][]int) (*setCoverReduction, error) {
 	if numElements <= 0 || len(sets) == 0 {
 		return nil, errors.New("core: set cover needs elements and candidate sets")
 	}
@@ -109,12 +110,12 @@ func NewSetCoverReduction(numElements int, sets [][]int) (*SetCoverReduction, er
 		}
 	}
 	class := &Class{Name: "set-cover-reduction", Fetch: fetch, History: HistoryAll, Unrestricted: true}
-	return &SetCoverReduction{Instance: inst, Class: class, SetNode: setNode, ElemNode: elemNode}, nil
+	return &setCoverReduction{Instance: inst, Class: class, SetNode: setNode, ElemNode: elemNode}, nil
 }
 
-// BruteForceSetCover returns the size of a minimum cover by exhaustive
-// search (exponential; for tests and tiny inputs only).
-func BruteForceSetCover(numElements int, sets [][]int) int {
+// bruteForceSetCover returns the size of a minimum cover by exhaustive
+// search (exponential; for tiny inputs only).
+func bruteForceSetCover(numElements int, sets [][]int) int {
 	best := len(sets) + 1
 	for mask := 0; mask < 1<<len(sets); mask++ {
 		covered := make([]bool, numElements)
@@ -143,4 +144,69 @@ func BruteForceSetCover(numElements int, sets [][]int) int {
 		}
 	}
 	return best
+}
+
+func TestSetCoverReduction(t *testing.T) {
+	cases := []struct {
+		name  string
+		elems int
+		sets  [][]int
+	}{
+		{"single set covers all", 3, [][]int{{0, 1, 2}}},
+		{"two disjoint sets", 4, [][]int{{0, 1}, {2, 3}}},
+		{"greedy trap", 6, [][]int{{0, 1, 2, 3}, {0, 1, 4}, {2, 3, 5}, {4, 5}}},
+		{"singletons", 3, [][]int{{0}, {1}, {2}}},
+		{"overlapping", 5, [][]int{{0, 1, 2}, {1, 2, 3}, {3, 4}, {0, 4}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			red, err := newSetCoverReduction(tc.elems, tc.sets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := float64(bruteForceSetCover(tc.elems, tc.sets))
+			b, err := red.Instance.LowerBound(red.Class, BoundOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.LPBound > opt+1e-6 {
+				t.Errorf("LP bound %g exceeds optimum %g", b.LPBound, opt)
+			}
+			if b.FeasibleCost < opt-1e-6 {
+				t.Errorf("rounded cover %g below optimum %g (infeasible?)", b.FeasibleCost, opt)
+			}
+			// The greedy rounding achieves the optimum on these small
+			// instances (ln(n)-approximation bound, exact here).
+			if b.FeasibleCost > opt*2+1e-6 {
+				t.Errorf("rounded cover %g too far above optimum %g", b.FeasibleCost, opt)
+			}
+		})
+	}
+}
+
+func TestSetCoverReductionValidation(t *testing.T) {
+	if _, err := newSetCoverReduction(0, [][]int{{0}}); err == nil {
+		t.Error("zero elements accepted")
+	}
+	if _, err := newSetCoverReduction(2, [][]int{{0}}); err == nil {
+		t.Error("uncoverable element accepted")
+	}
+	if _, err := newSetCoverReduction(2, [][]int{{0, 5}}); err == nil {
+		t.Error("out-of-range element accepted")
+	}
+}
+
+func TestBruteForceSetCover(t *testing.T) {
+	if got := bruteForceSetCover(3, [][]int{{0, 1, 2}}); got != 1 {
+		t.Errorf("got %d, want 1", got)
+	}
+	if got := bruteForceSetCover(4, [][]int{{0, 1}, {2, 3}, {0, 2}}); got != 2 {
+		t.Errorf("got %d, want 2", got)
+	}
+	if got := bruteForceSetCover(2, [][]int{{0}}); got != 3+1-1 {
+		// One set, element 1 uncovered: sentinel len(sets)+1 = 2.
+		if got != 2 {
+			t.Errorf("got %d, want sentinel 2", got)
+		}
+	}
 }

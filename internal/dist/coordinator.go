@@ -34,9 +34,6 @@ type CoordinatorConfig struct {
 	// appear before failing the shard (default 60s); it covers the
 	// coordinator-starts-before-workers race.
 	WorkerWait time.Duration
-	// Client issues the dispatch requests (nil = a client with no global
-	// timeout; per-shard timeouts come from ShardTimeout).
-	Client *http.Client
 	// Logf receives one line per notable event (nil = silent).
 	Logf func(format string, args ...interface{})
 }
@@ -48,6 +45,9 @@ type CoordinatorConfig struct {
 // only answers "solve this column".
 type Coordinator struct {
 	cfg CoordinatorConfig
+	// client issues the dispatch requests. It has no global timeout;
+	// per-shard timeouts come from ShardTimeout.
+	client *http.Client
 
 	mu       sync.Mutex
 	lastSeen map[string]time.Time // worker URL -> last heartbeat
@@ -77,10 +77,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.WorkerWait <= 0 {
 		cfg.WorkerWait = time.Minute
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
-	return &Coordinator{cfg: cfg, lastSeen: make(map[string]time.Time)}
+	return &Coordinator{cfg: cfg, client: &http.Client{}, lastSeen: make(map[string]time.Time)}
 }
 
 func (c *Coordinator) logf(format string, args ...interface{}) {
@@ -273,7 +270,7 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, shard *Sha
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errWorkerDown, err)
 	}

@@ -30,8 +30,6 @@ type WorkerConfig struct {
 	// CheckEvery is the simplex cancellation poll interval in iterations
 	// (0 = solver default).
 	CheckEvery int
-	// ColdStart disables warm-start basis chaining inside the column.
-	ColdStart bool
 	// Presolve selects the LP presolve mode, identical in meaning to the
 	// standalone server's field. Bounds are invariant to it; keep it at
 	// the default fleet-wide so effort counters aggregate consistently.
@@ -111,7 +109,6 @@ func (w *Worker) solve(ctx context.Context, shard *ShardJob) ([]experiments.Poin
 	opts := experiments.Options{
 		Parallel:     1,
 		SolveTimeout: w.cfg.SolveTimeout,
-		ColdStart:    w.cfg.ColdStart,
 		Ctx:          ctx,
 	}
 	opts.Bound.LP.CheckEvery = w.cfg.CheckEvery

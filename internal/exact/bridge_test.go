@@ -3,6 +3,7 @@ package exact
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -219,7 +220,11 @@ func TestSolveInstanceUnsupported(t *testing.T) {
 			name: "initial placement",
 			inst: func() *core.Instance {
 				inst := base()
-				if err := inst.SetInitial(inst.WarmInitial()); err != nil {
+				all := make([][]bool, inst.Topo.N)
+				for n := range all {
+					all[n] = slices.Repeat([]bool{true}, inst.Counts.Objects)
+				}
+				if err := inst.SetInitial(all); err != nil {
 					t.Fatal(err)
 				}
 				return inst

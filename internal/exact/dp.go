@@ -289,20 +289,3 @@ func assignServers(p *Problem, t *tree, pl *Placement) error {
 	}
 	return nil
 }
-
-// Check verifies a Placement against the Problem with an independent
-// recomputation of the policy's assignment: replica indices in range,
-// root excluded, cost consistent, every demand served within its bound
-// and no replica over capacity. Tests and the fuzz harness use it to
-// cross-validate both solvers' witnesses.
-func (p *Problem) Check(pl *Placement) error {
-	t, err := buildTree(p)
-	if err != nil {
-		return err
-	}
-	if want := p.costPer() * float64(len(pl.Replicas)); pl.Cost != want {
-		return fmt.Errorf("exact: cost %g does not match %d replicas at %g each", pl.Cost, len(pl.Replicas), p.costPer())
-	}
-	cp := &Placement{Replicas: append([]int(nil), pl.Replicas...), Cost: pl.Cost, Server: make([]int, t.n)}
-	return assignServers(p, t, cp)
-}

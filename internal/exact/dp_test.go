@@ -2,11 +2,29 @@ package exact
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"wideplace/internal/xrand"
 )
+
+// check verifies a Placement against the Problem with an independent
+// recomputation of the policy's assignment: replica indices in range,
+// root excluded, cost consistent, every demand served within its bound
+// and no replica over capacity. Tests and the fuzz harness use it to
+// cross-validate both solvers' witnesses.
+func (p *Problem) check(pl *Placement) error {
+	t, err := buildTree(p)
+	if err != nil {
+		return err
+	}
+	if want := p.costPer() * float64(len(pl.Replicas)); pl.Cost != want {
+		return fmt.Errorf("exact: cost %g does not match %d replicas at %g each", pl.Cost, len(pl.Replicas), p.costPer())
+	}
+	cp := &Placement{Replicas: append([]int(nil), pl.Replicas...), Cost: pl.Cost, Server: make([]int, t.n)}
+	return assignServers(p, t, cp)
+}
 
 // path4 is the line 0 - 1 - 2 - 3 rooted at 0 with 100ms edges.
 func path4() Problem {
@@ -184,8 +202,8 @@ func TestSolveTable(t *testing.T) {
 			if !reflect.DeepEqual(pl.Server, tc.server) {
 				t.Errorf("servers = %v, want %v", pl.Server, tc.server)
 			}
-			if err := p.Check(pl); err != nil {
-				t.Errorf("Check rejected Solve's own placement: %v", err)
+			if err := p.check(pl); err != nil {
+				t.Errorf("check rejected Solve's own placement: %v", err)
 			}
 		})
 	}
@@ -265,7 +283,7 @@ func TestBruteForceSizeCap(t *testing.T) {
 	}
 }
 
-// TestCheckCatchesLies: Problem.Check must reject placements whose cost,
+// TestCheckCatchesLies: Problem.check must reject placements whose cost,
 // replica set or feasibility is wrong — it is what the differential tests
 // trust.
 func TestCheckCatchesLies(t *testing.T) {
@@ -282,12 +300,12 @@ func TestCheckCatchesLies(t *testing.T) {
 		"missing coverage": {Replicas: nil, Cost: 0},
 		"too-high placed":  {Replicas: []int{1}, Cost: 1},
 	} {
-		if err := p.Check(pl); err == nil {
-			t.Errorf("%s: Check accepted a bad placement", name)
+		if err := p.check(pl); err == nil {
+			t.Errorf("%s: check accepted a bad placement", name)
 		}
 	}
-	if err := p.Check(good); err != nil {
-		t.Errorf("Check rejected the optimal placement: %v", err)
+	if err := p.check(good); err != nil {
+		t.Errorf("check rejected the optimal placement: %v", err)
 	}
 }
 
@@ -332,7 +350,7 @@ func randomTreeProblem(rng *xrand.Rand, n int) Problem {
 // TestSolveMatchesBruteRandom is the differential property test: on
 // hundreds of random trees of up to 12 nodes, the DP and the subset
 // enumerator must agree on the optimal cost (and on infeasibility), and
-// both witnesses must pass the independent Check.
+// both witnesses must pass the independent check.
 func TestSolveMatchesBruteRandom(t *testing.T) {
 	rng := xrand.New(8)
 	for it := 0; it < 300; it++ {
@@ -352,11 +370,11 @@ func TestSolveMatchesBruteRandom(t *testing.T) {
 				t.Fatalf("it %d: dp cost %g != brute cost %g\ndp: %v\nbrute: %v\nproblem: %+v",
 					it, dp.Cost, bf.Cost, dp.Replicas, bf.Replicas, p)
 			}
-			if err := p.Check(dp); err != nil {
-				t.Fatalf("it %d: dp witness fails Check: %v\nproblem: %+v", it, err, p)
+			if err := p.check(dp); err != nil {
+				t.Fatalf("it %d: dp witness fails check: %v\nproblem: %+v", it, err, p)
 			}
-			if err := p.Check(bf); err != nil {
-				t.Fatalf("it %d: brute witness fails Check: %v\nproblem: %+v", it, err, p)
+			if err := p.check(bf); err != nil {
+				t.Fatalf("it %d: brute witness fails check: %v\nproblem: %+v", it, err, p)
 			}
 		}
 	}

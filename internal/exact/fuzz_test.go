@@ -48,7 +48,7 @@ func problemFromBytes(data []byte) Problem {
 
 // FuzzTreeDP cross-checks the DP against the brute-force enumerator on
 // fuzzer-generated trees: equal optimal cost, agreement on infeasibility,
-// and both witnesses surviving the independent Check.
+// and both witnesses surviving the independent check.
 func FuzzTreeDP(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 150, 0, 0, 100, 0, 100, 1, 100, 0, 0, 0, 1})
@@ -70,11 +70,11 @@ func FuzzTreeDP(f *testing.F) {
 				t.Fatalf("dp cost %g != brute cost %g\ndp: %v\nbrute: %v\nproblem: %+v",
 					dp.Cost, bf.Cost, dp.Replicas, bf.Replicas, p)
 			}
-			if err := p.Check(dp); err != nil {
-				t.Fatalf("dp witness fails Check: %v\nproblem: %+v", err, p)
+			if err := p.check(dp); err != nil {
+				t.Fatalf("dp witness fails check: %v\nproblem: %+v", err, p)
 			}
-			if err := p.Check(bf); err != nil {
-				t.Fatalf("brute witness fails Check: %v\nproblem: %+v", err, p)
+			if err := p.check(bf); err != nil {
+				t.Fatalf("brute witness fails check: %v\nproblem: %+v", err, p)
 			}
 		}
 	})

@@ -306,23 +306,11 @@ func (f *Figure) SolverStats() (cells int, agg lp.Stats) {
 	return cells, agg
 }
 
-// boundPoint wraps LowerBound, mapping goal unattainability to an
-// infeasible point instead of an error.
-func boundPoint(inst *core.Instance, class *core.Class, tqos float64, opts core.BoundOptions) (Point, error) {
-	b, err := inst.LowerBound(class, opts)
-	if err != nil {
-		if errors.Is(err, core.ErrGoalUnattainable) {
-			return Point{Class: class.Name, QoS: tqos, Infeasible: true}, nil
-		}
-		return Point{}, err
-	}
-	return Point{Class: class.Name, QoS: tqos, Bound: b.LPBound, Feasible: b.FeasibleCost, Stats: b.Stats}, nil
-}
-
-// reboundPoint is boundPoint for the compiled-problem path of a warm
-// column: the model was already built and (re)bound to tqos, only the
-// solve remains. The returned basis (nil for infeasible points) seeds the
-// next solve in the column.
+// reboundPoint solves one cell of a warm column, mapping goal
+// unattainability to an infeasible point instead of an error. The model
+// was already built and (re)bound to tqos, only the solve remains. The
+// returned basis (nil for infeasible points) seeds the next solve in the
+// column.
 func reboundPoint(comp *core.CompiledQoS, class *core.Class, tqos float64, opts core.BoundOptions) (Point, *lp.Basis, error) {
 	b, err := comp.LowerBound(opts)
 	if err != nil {

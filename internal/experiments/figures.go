@@ -73,17 +73,15 @@ func Sweep(sys *System, classes []*core.Class, title string, opts Options, progr
 	return boundFigure(sys, newInstanceCache(sys), classes, title, opts, progress)
 }
 
-// boundFigure sweeps the (class, QoS point) grid. By default each class
-// column is one warm chain: its QoS points solve in ascending order on
-// one worker, each LP seeded with the previous solution's basis, and
-// distinct columns fan out across opts.Parallel workers. With
-// opts.ColdStart every cell is an independent crash-basis solve and the
-// grid fans out per cell, and with opts.ColumnSolver each column is
-// delegated whole to the hook (the distributed path). Results are
-// slotted by grid index in every mode, so the figure is deterministic
-// across worker counts and identical (bounds and TSV body) between the
-// modes. Every per-QoS instance is built exactly once and shared across
-// classes via the cache.
+// boundFigure sweeps the (class, QoS point) grid. Each class column is
+// one warm chain: its QoS points solve in ascending order on one worker,
+// each LP seeded with the previous solution's basis, and distinct columns
+// fan out across opts.Parallel workers. With opts.ColumnSolver each
+// column is delegated whole to the hook (the distributed path). Results
+// are slotted by grid index in both modes, so the figure is deterministic
+// across worker counts and identical (bounds and TSV body) between them,
+// and bounds match independent cold solves of every cell. Every per-QoS
+// instance is built exactly once and shared across classes via the cache.
 func boundFigure(sys *System, cache *instanceCache, classes []*core.Class, title string, opts Options, progress Progress) (*Figure, error) {
 	fig := &Figure{Title: title, Spec: sys.Spec}
 	qos := sys.Spec.QoSPoints
@@ -94,51 +92,28 @@ func boundFigure(sys *System, cache *instanceCache, classes []*core.Class, title
 	}
 	progress = syncProgress(progress)
 	tick := opts.cellTicker(nC * nQ)
-	var err error
-	switch {
-	case opts.ColumnSolver != nil:
-		err = runCells(opts.context(), nC, opts.workers(nC), func(ctx context.Context, c int) error {
-			pts, cerr := opts.ColumnSolver(ctx, classes[c].Name, qos)
-			if cerr != nil {
-				return fmt.Errorf("%s: %w", classes[c].Name, cerr)
-			}
-			if len(pts) != nQ {
-				return fmt.Errorf("%s: column solver returned %d points, want %d", classes[c].Name, len(pts), nQ)
-			}
-			for qi, p := range pts {
-				if p.Class != classes[c].Name || p.QoS != qos[qi] {
-					return fmt.Errorf("%s: column solver point %d is (%s, %g), want (%s, %g)",
-						classes[c].Name, qi, p.Class, p.QoS, classes[c].Name, qos[qi])
-				}
-				points[c][qi] = p
-				tick()
-			}
-			return nil
-		})
-	case opts.ColdStart:
-		err = runCells(opts.context(), nC*nQ, opts.workers(nC*nQ), func(ctx context.Context, idx int) error {
-			c, qi := idx/nQ, idx%nQ
-			class, q := classes[c], qos[qi]
-			inst, err := cache.get(q)
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			p, err := boundPoint(inst, class, q, opts.boundOptions(ctx))
-			if err != nil {
-				return fmt.Errorf("%s at %g: %w", class.Name, q, err)
-			}
-			progress.logPoint(p, time.Since(start))
-			points[c][qi] = p
-			tick()
-			return nil
-		})
-	default:
-		err = runCells(opts.context(), nC, opts.workers(nC), func(ctx context.Context, c int) error {
+	err := runCells(opts.context(), nC, opts.workers(nC), func(ctx context.Context, c int) error {
+		if opts.ColumnSolver == nil {
 			return solveColumn(ctx, cache, classes[c], qos, opts, progress, tick,
 				func(qi int, p Point) { points[c][qi] = p })
-		})
-	}
+		}
+		pts, cerr := opts.ColumnSolver(ctx, classes[c].Name, qos)
+		if cerr != nil {
+			return fmt.Errorf("%s: %w", classes[c].Name, cerr)
+		}
+		if len(pts) != nQ {
+			return fmt.Errorf("%s: column solver returned %d points, want %d", classes[c].Name, len(pts), nQ)
+		}
+		for qi, p := range pts {
+			if p.Class != classes[c].Name || p.QoS != qos[qi] {
+				return fmt.Errorf("%s: column solver point %d is (%s, %g), want (%s, %g)",
+					classes[c].Name, qi, p.Class, p.QoS, classes[c].Name, qos[qi])
+			}
+			points[c][qi] = p
+			tick()
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -202,28 +177,11 @@ func Figure2(sys *System, opts Options, progress Progress) (*Figure2Result, erro
 	}
 	cache := newInstanceCache(sys)
 	progress = syncProgress(progress)
-	// Cell layout: 3 tasks per QoS point. By default the nQ bound tasks
-	// fold into a single warm-chained column cell (tuning tasks are
-	// simulator runs with no basis to share and fan out unchanged); with
-	// ColdStart the grid keeps one independent bound cell per QoS point.
-	const tasks = 3
-	tick := opts.cellTicker(tasks * nQ)
-	bound := func(ctx context.Context, qi int) error {
-		q := qos[qi]
-		inst, err := cache.get(q)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		bp, err := boundPoint(inst, boundClass, q, opts.boundOptions(ctx))
-		if err != nil {
-			return fmt.Errorf("%s at %g: %w", boundClass.Name, q, err)
-		}
-		progress.logPoint(bp, time.Since(start))
-		res.Bound[qi] = bp
-		tick()
-		return nil
-	}
+	// Cell layout: the nQ bound tasks fold into a single warm-chained
+	// column cell; the two tuning tasks per QoS point are simulator runs
+	// with no basis to share and fan out on their own. The ticker still
+	// counts one tick per (QoS point, task).
+	tick := opts.cellTicker(3 * nQ)
 	tune := func(qi, task int) {
 		defer tick()
 		q := qos[qi]
@@ -248,28 +206,16 @@ func Figure2(sys *System, opts Options, progress Progress) (*Figure2Result, erro
 			}, sys.Spec.Objects, q, progress)
 		}
 	}
-	var err error
-	if opts.ColdStart {
-		err = runCells(opts.context(), tasks*nQ, opts.workers(tasks*nQ), func(ctx context.Context, idx int) error {
-			qi, task := idx/tasks, idx%tasks
-			if task == 0 {
-				return bound(ctx, qi)
-			}
-			tune(qi, task)
-			return nil
-		})
-	} else {
-		// Cell 0 is the bound column's warm chain; cells 1..2*nQ are the
-		// tuning tasks in the same qi-major order as the cold layout.
-		err = runCells(opts.context(), 1+2*nQ, opts.workers(1+2*nQ), func(ctx context.Context, idx int) error {
-			if idx == 0 {
-				return solveColumn(ctx, cache, boundClass, qos, opts, progress, tick,
-					func(qi int, p Point) { res.Bound[qi] = p })
-			}
-			tune((idx-1)/2, (idx-1)%2+1)
-			return nil
-		})
-	}
+	// Cell 0 is the bound column's warm chain; cells 1..2*nQ are the
+	// tuning tasks in qi-major order.
+	err := runCells(opts.context(), 1+2*nQ, opts.workers(1+2*nQ), func(ctx context.Context, idx int) error {
+		if idx == 0 {
+			return solveColumn(ctx, cache, boundClass, qos, opts, progress, tick,
+				func(qi int, p Point) { res.Bound[qi] = p })
+		}
+		tune((idx-1)/2, (idx-1)%2+1)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

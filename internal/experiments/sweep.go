@@ -27,16 +27,6 @@ type Options struct {
 	// pathological solve then fails with lp.ErrTimeout instead of
 	// hanging the whole figure.
 	SolveTimeout time.Duration
-	// ColdStart disables warm-start basis chaining. By default the sweep
-	// solves each class column's QoS points in ascending goal order,
-	// seeding every LP with the previous solution's basis
-	// (lp.Options.Start); the cells of one column run sequentially on one
-	// worker while distinct columns still fan out across the pool, and
-	// every solve remains independent of worker count, so results stay
-	// deterministic and identical to a cold sweep. With ColdStart every
-	// cell solves from the crash basis and the grid fans out per cell;
-	// bounds are identical either way, only solver effort differs.
-	ColdStart bool
 	// ColumnSolver, when non-nil, replaces the local solve of each class
 	// column: the sweep calls it once per class with the full ascending
 	// QoS grid and slots the returned points by grid index, exactly as the
@@ -44,8 +34,7 @@ type Options struct {
 	// in input order (points[qi].QoS == qos[qi]). Figure assembly — class
 	// order, titles, slotting, the solver-stats footer — is unchanged, so
 	// a hook that solves columns elsewhere with the same solver settings
-	// yields byte-identical TSVs. Takes precedence over ColdStart, whose
-	// per-cell grid has no column to delegate.
+	// yields byte-identical TSVs.
 	ColumnSolver func(ctx context.Context, class string, qos []float64) ([]Point, error)
 	// Ctx cancels the whole sweep (nil = context.Background()).
 	Ctx context.Context

@@ -14,14 +14,11 @@ import (
 // evaluation interval, a central coordinator re-places objects subject to a
 // fixed per-node capacity, greedily maximizing the demand newly covered
 // within the latency threshold. Requests are served by the nearest replica
-// (global routing knowledge), falling back to the origin.
-//
-// With Oracle=false the coordinator sees the previous interval's demand
-// (reactive); with Oracle=true it sees the current interval's (the
-// prefetching variant).
+// (global routing knowledge), falling back to the origin. The coordinator
+// sees the current interval's demand (the prefetching variant).
 type GreedyGlobal struct {
 	capacity int
-	demand   demandSource
+	counts   *workload.Counts
 	env      *sim.Env
 	order    [][]int
 	within   [][]int // within[m]: nodes u with latency(u, m) <= Tlat
@@ -29,24 +26,16 @@ type GreedyGlobal struct {
 
 var _ sim.Heuristic = (*GreedyGlobal)(nil)
 
-// NewGreedyGlobal returns the reactive storage-constrained greedy heuristic
-// with the given per-node capacity, informed by the bucketed workload.
-func NewGreedyGlobal(capacity int, counts *workload.Counts) *GreedyGlobal {
-	return &GreedyGlobal{capacity: capacity, demand: demandSource{counts: counts}}
-}
-
-// NewGreedyGlobalPrefetch returns the prefetching variant (current-interval
-// knowledge).
+// NewGreedyGlobalPrefetch returns the prefetching storage-constrained
+// greedy heuristic with the given per-node capacity, informed by the
+// bucketed workload.
 func NewGreedyGlobalPrefetch(capacity int, counts *workload.Counts) *GreedyGlobal {
-	return &GreedyGlobal{capacity: capacity, demand: demandSource{counts: counts, oracle: true}}
+	return &GreedyGlobal{capacity: capacity, counts: counts}
 }
 
 // Name implements sim.Heuristic.
 func (g *GreedyGlobal) Name() string {
-	if g.demand.oracle {
-		return fmt.Sprintf("greedy-global-prefetch(c=%d)", g.capacity)
-	}
-	return fmt.Sprintf("greedy-global(c=%d)", g.capacity)
+	return fmt.Sprintf("greedy-global-prefetch(c=%d)", g.capacity)
 }
 
 // Attach implements sim.Heuristic.
@@ -90,7 +79,7 @@ func (h *gainHeap) Pop() interface{} {
 // OnIntervalStart implements sim.Heuristic: recompute the placement for the
 // coming interval from the visible demand.
 func (g *GreedyGlobal) OnIntervalStart(interval int, at time.Duration) {
-	d := g.demand.at(interval)
+	d := intervalDemand(g.counts, interval)
 	target := g.computePlacement(d)
 	// Transition: evict replicas that are no longer wanted, create the new
 	// ones.

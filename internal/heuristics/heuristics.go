@@ -1,8 +1,8 @@
 // Package heuristics implements live replica placement heuristics from the
-// paper's Table 3 for evaluation in the simulator: LRU and LFU caching,
-// cooperative caching, a greedy-global storage-constrained placement
-// (Kangasharju-style) and a greedy replica-constrained placement (Qiu-
-// style), each with optional prefetching (current-interval knowledge).
+// paper's Table 3 for evaluation in the simulator: LRU and LFU caching, a
+// greedy-global storage-constrained placement (Kangasharju-style) and a
+// greedy replica-constrained placement (Qiu-style), the last two with
+// prefetching (current-interval knowledge), as Figure 2 simulates them.
 package heuristics
 
 import (
@@ -52,27 +52,16 @@ func serveNearest(env *sim.Env, order [][]int, node, object int, withinTlatOnly 
 	return sim.Origin
 }
 
-// demandSource yields per-interval demand matrices for the periodic
-// centralized heuristics. Reactive heuristics see the previous interval's
-// counts; prefetching (oracle) heuristics see the current interval's.
-type demandSource struct {
-	counts *workload.Counts
-	oracle bool
-}
-
-// at returns the demand matrix [node][object] visible when placing for
-// interval i, or nil when none is visible yet.
-func (d demandSource) at(i int) [][]int {
-	src := i - 1
-	if d.oracle {
-		src = i
-	}
-	if src < 0 || src >= d.counts.Intervals {
+// intervalDemand returns the demand matrix [node][object] of interval i,
+// which the periodic centralized heuristics see when they place for it
+// (they prefetch), or nil past the trace.
+func intervalDemand(counts *workload.Counts, i int) [][]int {
+	if i < 0 || i >= counts.Intervals {
 		return nil
 	}
-	out := make([][]int, d.counts.Nodes)
+	out := make([][]int, counts.Nodes)
 	for n := range out {
-		out[n] = d.counts.Reads[n][src]
+		out[n] = counts.Reads[n][i]
 	}
 	return out
 }

@@ -105,50 +105,6 @@ func TestLFUKeepsFrequent(t *testing.T) {
 	}
 }
 
-func TestCoopLRUNeighborHit(t *testing.T) {
-	// 0 -- 1 -- 2 -- 3 line, 100ms hops. Node 2 is 200ms from the origin
-	// (misses go there and get cached); node 3 is 300ms away but only
-	// 100ms from node 2.
-	tp, err := topology.New(4, []topology.Link{
-		{A: 0, B: 1, Latency: 100}, {A: 1, B: 2, Latency: 100}, {A: 2, B: 3, Latency: 100},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &sim.Env{Topo: tp, Objects: 5, Tlat: 150, Tracker: sim.NewTracker(4, 5, 0)}
-	h := NewCoopLRU(2)
-	if err := h.Attach(e); err != nil {
-		t.Fatal(err)
-	}
-	// Node 2's miss fetches from the origin and caches locally.
-	if src := h.OnRead(2, 0, 0); src != sim.Origin {
-		t.Fatalf("first access served from %d, want origin", src)
-	}
-	if !e.Tracker.Stored(2, 0) {
-		t.Fatal("node 2 did not cache object 0")
-	}
-	// Node 3 (100ms from node 2) gets a neighborhood hit.
-	if src := h.OnRead(3, 0, time.Minute); src != 2 {
-		t.Errorf("served from %d, want neighbor 2", src)
-	}
-	// The remote hit must not duplicate the object locally.
-	if e.Tracker.Stored(3, 0) {
-		t.Error("remote hit duplicated the object locally")
-	}
-}
-
-func TestCoopLRUUsesOriginWithinThreshold(t *testing.T) {
-	e := env3(t, 5)
-	h := NewCoopLRU(2)
-	if err := h.Attach(e); err != nil {
-		t.Fatal(err)
-	}
-	// Node 1 is 100ms from the origin: a neighborhood "hit" on the origin.
-	if src := h.OnRead(1, 4, 0); src != 0 {
-		t.Errorf("served from %d, want origin node 0 within threshold", src)
-	}
-}
-
 func mkCounts(t *testing.T, tp *topology.Topology, acc []workload.Access, objects int, horizon, delta time.Duration) *workload.Counts {
 	t.Helper()
 	tr := &workload.Trace{Accesses: acc, NumNodes: tp.N, NumObjects: objects, Duration: horizon}
@@ -160,32 +116,6 @@ func mkCounts(t *testing.T, tp *topology.Topology, acc []workload.Access, object
 		t.Fatal(err)
 	}
 	return c
-}
-
-func TestGreedyGlobalReactivePlacesFromPastDemand(t *testing.T) {
-	tp := line3(t)
-	acc := []workload.Access{
-		{At: 0, Node: 2, Object: 0},
-		{At: 10 * time.Minute, Node: 2, Object: 0},
-		{At: 70 * time.Minute, Node: 2, Object: 0},
-	}
-	counts := mkCounts(t, tp, acc, 3, 2*time.Hour, time.Hour)
-	e := &sim.Env{Topo: tp, Objects: 3, Tlat: 150, Tracker: sim.NewTracker(3, 3, 0)}
-	h := NewGreedyGlobal(1, counts)
-	if err := h.Attach(e); err != nil {
-		t.Fatal(err)
-	}
-	h.OnIntervalStart(0, 0)
-	if e.Tracker.Stored(1, 0) || e.Tracker.Stored(2, 0) {
-		t.Error("reactive greedy placed replicas with no past demand")
-	}
-	h.OnIntervalStart(1, time.Hour)
-	if !e.Tracker.Stored(1, 0) && !e.Tracker.Stored(2, 0) {
-		t.Error("greedy did not place object 0 after observing demand")
-	}
-	if src := h.OnRead(2, 0, 70*time.Minute); src == sim.Origin {
-		t.Error("read not served from the placed replica")
-	}
 }
 
 func TestGreedyGlobalPrefetchSeesCurrentInterval(t *testing.T) {
@@ -201,6 +131,9 @@ func TestGreedyGlobalPrefetchSeesCurrentInterval(t *testing.T) {
 	if !e.Tracker.Stored(1, 1) && !e.Tracker.Stored(2, 1) {
 		t.Error("prefetch variant did not place for current-interval demand")
 	}
+	if src := h.OnRead(2, 1, 10*time.Minute); src == sim.Origin {
+		t.Error("read not served from the placed replica")
+	}
 }
 
 func TestGreedyGlobalRespectsCapacity(t *testing.T) {
@@ -215,11 +148,11 @@ func TestGreedyGlobalRespectsCapacity(t *testing.T) {
 	}
 	counts := mkCounts(t, tp, acc, 4, 2*time.Hour, time.Hour)
 	e := &sim.Env{Topo: tp, Objects: 4, Tlat: 150, Tracker: sim.NewTracker(3, 4, 0)}
-	h := NewGreedyGlobal(2, counts)
+	h := NewGreedyGlobalPrefetch(2, counts)
 	if err := h.Attach(e); err != nil {
 		t.Fatal(err)
 	}
-	h.OnIntervalStart(1, time.Hour)
+	h.OnIntervalStart(0, 0)
 	if e.Tracker.Count(1) > 2 || e.Tracker.Count(2) > 2 {
 		t.Errorf("capacity exceeded: node1=%d node2=%d", e.Tracker.Count(1), e.Tracker.Count(2))
 	}
@@ -234,11 +167,11 @@ func TestQiuGreedyPlacesReplicas(t *testing.T) {
 	}
 	counts := mkCounts(t, tp, acc, 2, 2*time.Hour, time.Hour)
 	e := &sim.Env{Topo: tp, Objects: 2, Tlat: 150, Tracker: sim.NewTracker(3, 2, 0)}
-	h := NewQiuGreedy(1, counts)
+	h := NewQiuGreedyPrefetch(1, counts)
 	if err := h.Attach(e); err != nil {
 		t.Fatal(err)
 	}
-	h.OnIntervalStart(1, time.Hour)
+	h.OnIntervalStart(0, 0)
 	// One replica for object 0; node 2 has the most demand-weighted
 	// latency savings (node 2 is 200ms from origin, node 1 only 100ms).
 	if !e.Tracker.Stored(2, 0) {
@@ -259,17 +192,17 @@ func TestQiuGreedyEvictsStalePlacement(t *testing.T) {
 		{At: 0, Node: 2, Object: 0},
 		{At: 70 * time.Minute, Node: 2, Object: 1},
 	}
-	counts := mkCounts(t, tp, acc, 2, 3*time.Hour, time.Hour)
+	counts := mkCounts(t, tp, acc, 2, 2*time.Hour, time.Hour)
 	e := &sim.Env{Topo: tp, Objects: 2, Tlat: 150, Tracker: sim.NewTracker(3, 2, 0)}
-	h := NewQiuGreedy(1, counts)
+	h := NewQiuGreedyPrefetch(1, counts)
 	if err := h.Attach(e); err != nil {
 		t.Fatal(err)
 	}
-	h.OnIntervalStart(1, time.Hour) // places object 0
+	h.OnIntervalStart(0, 0) // places object 0
 	if !e.Tracker.Stored(2, 0) {
 		t.Fatal("object 0 not placed")
 	}
-	h.OnIntervalStart(2, 2*time.Hour) // demand moved to object 1
+	h.OnIntervalStart(1, time.Hour) // demand moved to object 1
 	if e.Tracker.Stored(2, 0) {
 		t.Error("stale replica of object 0 not evicted")
 	}
@@ -337,7 +270,7 @@ func TestCentralizedBeatsCachingOnZipf(t *testing.T) {
 	if err != nil {
 		t.Skipf("LRU cannot reach %g on this trace: %v", tqos, err)
 	}
-	_, gM, err := sim.Tune(cfg, func(c int) sim.Heuristic { return NewGreedyGlobal(c, counts) }, 0, 50, tqos, false)
+	_, gM, err := sim.Tune(cfg, func(c int) sim.Heuristic { return NewGreedyGlobalPrefetch(c, counts) }, 0, 50, tqos, false)
 	if err != nil {
 		t.Fatalf("greedy-global cannot reach %g: %v", tqos, err)
 	}

@@ -33,10 +33,7 @@ func TestAllHeuristicsReplayCleanly(t *testing.T) {
 			all := []sim.Heuristic{
 				NewLRU(cap),
 				NewLFU(cap),
-				NewCoopLRU(cap),
-				NewGreedyGlobal(cap, counts),
 				NewGreedyGlobalPrefetch(cap, counts),
-				NewQiuGreedy(min(cap, tp.N-1), counts),
 				NewQiuGreedyPrefetch(min(cap, tp.N-1), counts),
 			}
 			for _, h := range all {
@@ -58,36 +55,6 @@ func TestAllHeuristicsReplayCleanly(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCoopDominatesPlainLRUOnQoS: with identical capacities, cooperative
-// caching serves at least as many requests within the threshold as plain
-// caching (it has strictly more serving options).
-func TestCoopDominatesPlainLRUOnQoS(t *testing.T) {
-	tp, err := topology.Generate(topology.GenOptions{N: 8, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := workload.GenerateWeb(workload.WebOptions{
-		Nodes: 8, Objects: 30, Requests: 5000, Seed: 3, Duration: 6 * time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.Config{Topo: tp, Trace: tr, Tlat: 150, Alpha: 1, Beta: 1}
-	lru, err := sim.Run(cfg, NewLRU(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	coop, err := sim.Run(cfg, NewCoopLRU(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Not a strict theorem (eviction patterns differ), but with matched
-	// traces a large regression would indicate a bug.
-	if coop.QoS < lru.QoS-0.02 {
-		t.Errorf("coop QoS %.4f well below plain LRU %.4f", coop.QoS, lru.QoS)
 	}
 }
 

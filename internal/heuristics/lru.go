@@ -107,5 +107,3 @@ func (c *lruCache) insert(object int) (victim int, evicted bool) {
 	c.items[object] = c.ll.PushFront(object)
 	return victim, evicted
 }
-
-func (c *lruCache) len() int { return c.ll.Len() }

@@ -13,36 +13,26 @@ import (
 // evaluation interval, each object gets exactly R replicas, placed one at a
 // time so that each placement minimizes the demand-weighted access latency
 // given the replicas (and the origin) already chosen. Requests are served
-// by the nearest replica (global routing knowledge).
-//
-// With Oracle=false the placement uses the previous interval's demand
-// (reactive); the prefetching variant uses the current interval's.
+// by the nearest replica (global routing knowledge). The placement uses the
+// current interval's demand (the prefetching variant).
 type QiuGreedy struct {
 	replicas int
-	demand   demandSource
+	counts   *workload.Counts
 	env      *sim.Env
 	order    [][]int
 }
 
 var _ sim.Heuristic = (*QiuGreedy)(nil)
 
-// NewQiuGreedy returns the reactive replica-constrained greedy heuristic
-// with R replicas per object.
-func NewQiuGreedy(replicas int, counts *workload.Counts) *QiuGreedy {
-	return &QiuGreedy{replicas: replicas, demand: demandSource{counts: counts}}
-}
-
-// NewQiuGreedyPrefetch returns the prefetching variant.
+// NewQiuGreedyPrefetch returns the prefetching replica-constrained greedy
+// heuristic with R replicas per object.
 func NewQiuGreedyPrefetch(replicas int, counts *workload.Counts) *QiuGreedy {
-	return &QiuGreedy{replicas: replicas, demand: demandSource{counts: counts, oracle: true}}
+	return &QiuGreedy{replicas: replicas, counts: counts}
 }
 
 // Name implements sim.Heuristic.
 func (q *QiuGreedy) Name() string {
-	if q.demand.oracle {
-		return fmt.Sprintf("qiu-greedy-prefetch(r=%d)", q.replicas)
-	}
-	return fmt.Sprintf("qiu-greedy(r=%d)", q.replicas)
+	return fmt.Sprintf("qiu-greedy-prefetch(r=%d)", q.replicas)
 }
 
 // Attach implements sim.Heuristic.
@@ -57,7 +47,7 @@ func (q *QiuGreedy) Attach(env *sim.Env) error {
 
 // OnIntervalStart implements sim.Heuristic.
 func (q *QiuGreedy) OnIntervalStart(interval int, at time.Duration) {
-	demand := q.demand.at(interval)
+	demand := intervalDemand(q.counts, interval)
 	nN := q.env.Topo.N
 	origin := q.env.Topo.Origin
 	target := make([]map[int]bool, nN)

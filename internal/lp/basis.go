@@ -18,13 +18,6 @@ type Basis struct {
 	status  []colStatus
 }
 
-// NumRows reports the number of constraint rows the basis was built for.
-func (b *Basis) NumRows() int { return b.numRows }
-
-// NumCols reports the total column count (structural + slack) the basis
-// was built for.
-func (b *Basis) NumCols() int { return b.numCols }
-
 // compatibleWith reports whether the snapshot can seed a solve of p: the
 // shape must match exactly and the snapshot must be internally consistent
 // (every basic column in range and unique, statuses agreeing with the

@@ -103,18 +103,3 @@ func insertionSortPairs(idx []int, val []float64) {
 		idx[j+1], val[j+1] = ki, kv
 	}
 }
-
-// MulVec computes y = A*x for a dense vector x (len Cols); y has len Rows.
-func (c *CSC) MulVec(x []float64) []float64 {
-	y := make([]float64, c.Rows)
-	for j := 0; j < c.Cols; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
-			y[c.RowIdx[k]] += c.Val[k] * xj
-		}
-	}
-	return y
-}

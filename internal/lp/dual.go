@@ -38,13 +38,11 @@ import (
 // the dual pass.
 func (s *simplex) dualReoptimize() error {
 	s.refreshD(false)
-	tol := s.opts.Tol
 
 	// Dual pivots until primal feasible (optimal) or the budget runs out.
 	// The budget is a cycling guard, not a convergence bound: a healthy
 	// re-solve needs about one pivot per infeasible basic.
 	budget := 2*s.m + 100
-	piv := s.opts.PivTol
 	for it := 0; it < budget; it++ {
 		if s.iter >= s.opts.MaxIter {
 			return fmt.Errorf("%w after %d iterations", ErrIterLimit, s.iter)
@@ -61,7 +59,7 @@ func (s *simplex) dualReoptimize() error {
 		// Leaving row: the basic with the largest bound violation, first
 		// in position order among equals. Only violated positions can
 		// exceed the tolerance.
-		r, worst, above := -1, tol, false
+		r, worst, above := -1, simplexTol, false
 		for wi, w := range s.viol {
 			for ; w != 0; w &= w - 1 {
 				i := wi<<6 | bits.TrailingZeros64(w)
@@ -97,7 +95,7 @@ func (s *simplex) dualReoptimize() error {
 				continue
 			}
 			a := s.alpha[j]
-			if abs(a) <= piv {
+			if abs(a) <= simplexPivTol {
 				continue
 			}
 			sa := sigma * a
@@ -105,7 +103,7 @@ func (s *simplex) dualReoptimize() error {
 			var t float64
 			switch st {
 			case nonbasicLower:
-				if sa <= piv {
+				if sa <= simplexPivTol {
 					continue
 				}
 				if d < 0 {
@@ -113,7 +111,7 @@ func (s *simplex) dualReoptimize() error {
 				}
 				t = d / sa
 			case nonbasicUpper:
-				if sa >= -piv {
+				if sa >= -simplexPivTol {
 					continue
 				}
 				if d > 0 {
@@ -123,7 +121,7 @@ func (s *simplex) dualReoptimize() error {
 			default: // nonbasicFree
 				t = abs(d) / abs(sa)
 			}
-			if t < bestT-tol || (t < bestT+tol && abs(a) > bestMag) {
+			if t < bestT-simplexTol || (t < bestT+simplexTol && abs(a) > bestMag) {
 				q, bestT, bestMag = j, t, abs(a)
 			}
 		}
@@ -136,7 +134,7 @@ func (s *simplex) dualReoptimize() error {
 		// FTRAN the entering column; its image at r is the pivot element.
 		s.ftranColumn(q)
 		aq := s.w[r]
-		if abs(aq) <= piv {
+		if abs(aq) <= simplexPivTol {
 			return nil // numerically degraded pivot: leave it to the primal path
 		}
 		target := s.p.lo[s.basis[r]]
@@ -148,7 +146,7 @@ func (s *simplex) dualReoptimize() error {
 
 		s.iter++
 		s.stats.DualIterations++
-		if abs(step) <= tol {
+		if abs(step) <= simplexTol {
 			s.stats.DegenerateSteps++
 		}
 		// Primal update: basics move against the entering column's image;

@@ -21,6 +21,6 @@ func Example() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("optimum %.0f at x=%.0f y=%.0f\n", sol.Objective, sol.Value(x), sol.Value(y))
+	fmt.Printf("optimum %.0f at x=%.0f y=%.0f\n", sol.Objective, sol.X[x], sol.X[y])
 	// Output: optimum 36 at x=2 y=6
 }

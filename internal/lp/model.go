@@ -70,9 +70,6 @@ func NewModel(sense Sense) *Model {
 // NumVars reports the number of variables added so far.
 func (m *Model) NumVars() int { return len(m.vars) }
 
-// NumConstraints reports the number of constraints added so far.
-func (m *Model) NumConstraints() int { return len(m.cons) }
-
 // AddVar adds a variable with bounds [lo, hi] and objective coefficient obj,
 // returning its index. Use -Inf/Inf for free sides.
 func (m *Model) AddVar(lo, hi, obj float64, name string) int {
@@ -82,11 +79,6 @@ func (m *Model) AddVar(lo, hi, obj float64, name string) int {
 
 // SetObj overwrites the objective coefficient of variable v.
 func (m *Model) SetObj(v int, obj float64) { m.vars[v].obj = obj }
-
-// SetBounds overwrites the bounds of variable v.
-func (m *Model) SetBounds(v int, lo, hi float64) {
-	m.vars[v].lo, m.vars[v].hi = lo, hi
-}
 
 // AddRange adds the constraint lo <= sum(coefs) <= hi and returns its index.
 // The coefficient slice is copied.
@@ -116,8 +108,8 @@ func (m *Model) AddEQ(coefs []Coef, rhs float64, name string) int {
 //
 // The internal standard form appends one slack variable per row so that the
 // constraint system becomes A*x - s = 0 with s ranging over the original
-// [lo, hi] of each row. Columns 0..NumStruct-1 are the structural variables
-// in insertion order; columns NumStruct..NumStruct+NumRows-1 are slacks.
+// [lo, hi] of each row. Columns 0..numStruct-1 are the structural variables
+// in insertion order; columns numStruct..numStruct+numRows-1 are slacks.
 type Problem struct {
 	sense     Sense
 	numStruct int
@@ -193,12 +185,6 @@ func (m *Model) Compile() (*Problem, error) {
 	return p, nil
 }
 
-// NumStruct reports the number of structural (user) variables.
-func (p *Problem) NumStruct() int { return p.numStruct }
-
-// NumRows reports the number of constraint rows.
-func (p *Problem) NumRows() int { return p.numRows }
-
 // SetRowBounds replaces the bounds of constraint row i with [lo, hi] and
 // leaves the matrix untouched. In the internal standard form a row's
 // bounds live on its slack column, so rebinding is a two-float write: the
@@ -215,11 +201,6 @@ func (p *Problem) SetRowBounds(i int, lo, hi float64) error {
 	}
 	p.lo[p.numStruct+i], p.hi[p.numStruct+i] = lo, hi
 	return nil
-}
-
-// RowBounds returns the current bounds of constraint row i.
-func (p *Problem) RowBounds(i int) (lo, hi float64) {
-	return p.lo[p.numStruct+i], p.hi[p.numStruct+i]
 }
 
 // SetCoef overwrites the matrix entry of constraint row i and structural
@@ -259,24 +240,6 @@ func (p *Problem) SetCoef(i, j int, v float64) error {
 	return nil
 }
 
-// Coef returns the current matrix entry of row i and structural column j,
-// with ok reporting whether the entry is part of the compiled pattern.
-func (p *Problem) Coef(i, j int) (v float64, ok bool) {
-	if i < 0 || i >= p.numRows || j < 0 || j >= p.numStruct {
-		return 0, false
-	}
-	ri, rv := p.cols.Col(j)
-	for k, r := range ri {
-		if r == i {
-			return rv[k], true
-		}
-		if r > i {
-			break
-		}
-	}
-	return 0, false
-}
-
 // SetObjCoef overwrites the objective coefficient of structural column j,
 // stated in the model's original optimization sense.
 func (p *Problem) SetObjCoef(j int, v float64) error {
@@ -313,6 +276,3 @@ type Solution struct {
 	// unconstrained zero-row case, which has no basis).
 	Basis *Basis
 }
-
-// Value returns the solution value of structural variable v.
-func (s *Solution) Value(v int) float64 { return s.X[v] }

@@ -16,7 +16,7 @@ func TestIterationLimit(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults(100, 200)
-	if o.Tol <= 0 || o.PivTol <= 0 || o.MaxIter <= 0 || o.BlandAfter <= 0 {
+	if o.MaxIter <= 0 || o.CheckEvery <= 0 {
 		t.Errorf("defaults not filled: %+v", o)
 	}
 	if o.SectionSize >= 0 && 200 < 4*o.SectionSize {
@@ -49,26 +49,22 @@ func TestExplicitSectionSize(t *testing.T) {
 
 func TestModelAccessors(t *testing.T) {
 	m := NewModel(Minimize)
-	x := m.AddVar(0, 1, 1, "x")
+	x := m.AddVar(-1, 2, 1, "x")
 	m.AddVar(0, 1, 2, "y")
 	m.AddLE([]Coef{{x, 1}}, 1, "c")
 	if m.NumVars() != 2 {
 		t.Errorf("NumVars = %d, want 2", m.NumVars())
 	}
-	if m.NumConstraints() != 1 {
-		t.Errorf("NumConstraints = %d, want 1", m.NumConstraints())
-	}
 	m.SetObj(x, 5)
-	m.SetBounds(x, -1, 2)
 	p, err := m.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumStruct() != 2 || p.NumRows() != 1 {
-		t.Errorf("compiled dims %d/%d, want 2/1", p.NumStruct(), p.NumRows())
+	if p.numStruct != 2 || p.numRows != 1 {
+		t.Errorf("compiled dims %d/%d, want 2/1", p.numStruct, p.numRows)
 	}
 	if p.obj[x] != 5 || p.lo[x] != -1 || p.hi[x] != 2 {
-		t.Error("SetObj/SetBounds not applied")
+		t.Error("SetObj or variable bounds not applied")
 	}
 }
 
@@ -79,8 +75,8 @@ func TestSolutionValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Value(x) != 2 {
-		t.Errorf("Value(x) = %g, want 2", sol.Value(x))
+	if sol.X[x] != 2 {
+		t.Errorf("X[x] = %g, want 2", sol.X[x])
 	}
 }
 

@@ -718,11 +718,7 @@ func (ps *psResult) postsolve(rsol *Solution) *Solution {
 // the reduced problem (forward-mapping any warm-start basis), postsolve.
 func solvePresolved(p *Problem, opts Options) (*Solution, error) {
 	wallStart := time.Now()
-	tol := opts.Tol
-	if tol == 0 {
-		tol = 1e-7
-	}
-	pr := newPresolver(p, tol)
+	pr := newPresolver(p, simplexTol)
 	if err := pr.run(); err != nil {
 		return nil, err
 	}

@@ -260,8 +260,8 @@ func TestSetRowBounds(t *testing.T) {
 	if err := p.SetRowBounds(0, 5, Inf); err != nil {
 		t.Fatal(err)
 	}
-	if lo, hi := p.RowBounds(0); lo != 5 || !math.IsInf(hi, 1) {
-		t.Errorf("RowBounds = [%g, %g], want [5, +Inf]", lo, hi)
+	if lo, hi := p.lo[p.numStruct], p.hi[p.numStruct]; lo != 5 || !math.IsInf(hi, 1) {
+		t.Errorf("row 0 bounds = [%g, %g], want [5, +Inf]", lo, hi)
 	}
 	sol, err := Solve(p, Options{})
 	if err != nil {

@@ -7,7 +7,7 @@ import "math"
 // estimate of its steepest-edge norm, which steers the solver away from the
 // short degenerate steps that plain largest-reduced-cost pricing is drawn
 // to. A long run of degenerate pivots switches to Bland's rule
-// (Options.BlandAfter) until a pivot makes progress again.
+// (blandAfter) until a pivot makes progress again.
 
 // devexResetLimit caps the devex weights: when any weight outgrows it the
 // reference framework has drifted too far and all weights reset to 1.
@@ -149,7 +149,6 @@ var priceSign = [...]float64{nonbasicLower: -1, nonbasicUpper: 1, nonbasicFree: 
 // eligibility and rank but not on the status (apart from free columns,
 // which MC-PERF never has).
 func (s *simplex) priceRun(lo, hi, best int, bestRank float64) (int, float64) {
-	tol := s.opts.Tol
 	d := s.d[lo:hi]
 	gamma, status := s.gamma[lo:hi], s.status[lo:hi]
 	gamma, status = gamma[:len(d)], status[:len(d)]
@@ -159,7 +158,7 @@ func (s *simplex) priceRun(lo, hi, best int, bestRank float64) (int, float64) {
 		if st == nonbasicFree {
 			sc = math.Abs(dk)
 		}
-		if sc <= tol {
+		if sc <= simplexTol {
 			continue
 		}
 		if rank := sc * sc / gamma[k]; rank > bestRank && !(s.anyShun && s.shunStamp[lo+k] == s.shunGen) {

@@ -11,10 +11,6 @@ import (
 
 // Options configures the simplex solver.
 type Options struct {
-	// Tol is the primal feasibility / dual optimality tolerance.
-	Tol float64
-	// PivTol is the minimum acceptable pivot magnitude.
-	PivTol float64
 	// MaxIter caps the total iteration count (0 = automatic).
 	MaxIter int
 	// Ctx, when non-nil, cancels the solve: the main loop polls it every
@@ -27,9 +23,6 @@ type Options struct {
 	// CheckEvery is the number of iterations between cancellation and
 	// deadline checks (0 = automatic).
 	CheckEvery int
-	// BlandAfter is the number of consecutive degenerate iterations after
-	// which the solver switches to Bland's rule (0 = automatic).
-	BlandAfter int
 	// SectionSize is the number of columns scanned per iteration by
 	// partial pricing (0 = automatic; negative = full pricing). Partial
 	// pricing scans a rotating window and picks the best eligible column in
@@ -48,17 +41,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults(m, n int) Options {
-	if o.Tol == 0 {
-		o.Tol = 1e-7
-	}
-	if o.PivTol == 0 {
-		o.PivTol = 1e-9
-	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 20000 + 100*(m+n)
-	}
-	if o.BlandAfter == 0 {
-		o.BlandAfter = 1000
 	}
 	if o.SectionSize == 0 {
 		o.SectionSize = 2000
@@ -263,7 +247,7 @@ func (s *simplex) solve() (*Solution, error) {
 	// all the way back. If the composite stalls short of feasibility (the
 	// cost term can block the last band-reducing pivots), a pure phase 1
 	// finishes the job before infeasibility is declared.
-	if s.infeasibility() > s.opts.Tol {
+	if s.infeasibility() > simplexTol {
 		if s.warm {
 			s.comp = compositeWeight(s.p.obj)
 		}
@@ -272,14 +256,14 @@ func (s *simplex) solve() (*Solution, error) {
 		}
 		if s.comp != 0 {
 			s.comp = 0
-			if s.infeasibility() > s.opts.Tol {
+			if s.infeasibility() > simplexTol {
 				s.dDirty = true
 				if err := s.loop(true); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if s.infeasibility() > s.opts.Tol*math.Max(1, s.scale()) {
+		if s.infeasibility() > simplexTol*math.Max(1, s.scale()) {
 			return nil, ErrInfeasible
 		}
 	}
@@ -481,14 +465,13 @@ func compositeWeight(obj []float64) float64 {
 // phase1Costs fills cB with the gradient of the infeasibility sum, plus
 // comp times the true objective when a composite phase 1 is active.
 func (s *simplex) phase1Costs() {
-	tol := s.opts.Tol
 	for i, q := range s.basis {
 		v := s.xB[i]
 		band := 0.0
 		switch {
-		case v < s.p.lo[q]-tol:
+		case v < s.p.lo[q]-simplexTol:
 			band = -1
-		case v > s.p.hi[q]+tol:
+		case v > s.p.hi[q]+simplexTol:
 			band = 1
 		}
 		s.p1band[i] = band
@@ -545,10 +528,9 @@ func (s *simplex) score(j int, phase1 bool) (score, dir float64) {
 // Bland's rule takes the first eligible column of a full sweep; otherwise
 // devexPrice ranks the candidates.
 func (s *simplex) price(phase1 bool) (entering int, dir float64) {
-	tol := s.opts.Tol
 	if s.bland {
 		for j := 0; j < s.n; j++ {
-			if sc, dj := s.score(j, phase1); sc > tol {
+			if sc, dj := s.score(j, phase1); sc > simplexTol {
 				s.stats.PricingScans += int64(j + 1)
 				return j, dj
 			}
@@ -571,8 +553,6 @@ type ratioEvent struct {
 // entering variable q moves in direction dir. It walks w's nonzeros in
 // ascending position order, so ties break as in a scan of every row.
 func (s *simplex) ratioTest(q int, dir float64, phase1 bool) (ratioEvent, bool) {
-	tol := s.opts.Tol
-	piv := s.opts.PivTol
 	best := ratioEvent{t: math.Inf(1), pos: -1}
 	// Entering variable's own opposite bound (bound flip).
 	if rng := s.p.hi[q] - s.p.lo[q]; !math.IsInf(rng, 1) {
@@ -581,7 +561,7 @@ func (s *simplex) ratioTest(q int, dir float64, phase1 bool) (ratioEvent, bool) 
 	for _, i32 := range s.wPat {
 		i := int(i32)
 		wi := s.w[i]
-		if abs(wi) <= piv {
+		if abs(wi) <= simplexPivTol {
 			continue
 		}
 		rate := -dir * wi // movement rate of basic i
@@ -591,13 +571,13 @@ func (s *simplex) ratioTest(q int, dir float64, phase1 bool) (ratioEvent, bool) 
 		var limit float64
 		var atHi bool
 		switch {
-		case phase1 && v < lo-tol:
+		case phase1 && v < lo-simplexTol:
 			// Infeasible below: blocks only when moving up to lo.
 			if rate <= 0 {
 				continue
 			}
 			limit, atHi = (lo-v)/rate, false
-		case phase1 && v > hi+tol:
+		case phase1 && v > hi+simplexTol:
 			if rate >= 0 {
 				continue
 			}
@@ -616,8 +596,8 @@ func (s *simplex) ratioTest(q int, dir float64, phase1 bool) (ratioEvent, bool) 
 		if limit < 0 {
 			limit = 0
 		}
-		if limit < best.t-tol ||
-			(limit < best.t+tol && abs(wi) > best.pivMag) {
+		if limit < best.t-simplexTol ||
+			(limit < best.t+simplexTol && abs(wi) > best.pivMag) {
 			best = ratioEvent{t: limit, pos: i, atHi: atHi, pivMag: abs(wi)}
 		}
 	}
@@ -642,7 +622,7 @@ func (s *simplex) loop(phase1 bool) error {
 				return err
 			}
 		}
-		if phase1 && s.infeasibility() <= s.opts.Tol {
+		if phase1 && s.infeasibility() <= simplexTol {
 			return nil
 		}
 		// The Bland fallback also prices through the cache (score());
@@ -688,10 +668,10 @@ func (s *simplex) loop(phase1 bool) error {
 			return ErrUnbounded
 		}
 		s.iter++
-		if ev.t <= s.opts.Tol {
+		if ev.t <= simplexTol {
 			s.degenerate++
 			s.stats.DegenerateSteps++
-			if s.degenerate >= s.opts.BlandAfter {
+			if s.degenerate >= blandAfter {
 				if !s.bland {
 					s.stats.BlandActivations++
 				}
@@ -712,7 +692,6 @@ func (s *simplex) loop(phase1 bool) error {
 		step := dir * ev.t
 		trackFlips := phase1 && !s.dDirty
 		s.flipPos, s.flipDelta = s.flipPos[:0], s.flipDelta[:0]
-		tol := s.opts.Tol
 		for _, i32 := range s.wPat {
 			i := int(i32)
 			s.xB[i] -= step * s.w[i]
@@ -722,9 +701,9 @@ func (s *simplex) loop(phase1 bool) error {
 				qi, v := s.basis[i], s.xB[i]
 				band := 0.0
 				switch {
-				case v < s.p.lo[qi]-tol:
+				case v < s.p.lo[qi]-simplexTol:
 					band = -1
-				case v > s.p.hi[qi]+tol:
+				case v > s.p.hi[qi]+simplexTol:
 					band = 1
 				}
 				if band != s.p1band[i] {
@@ -783,9 +762,9 @@ func (s *simplex) loop(phase1 bool) error {
 			v := s.xB[ev.pos]
 			band := 0.0
 			switch {
-			case v < s.p.lo[q]-tol:
+			case v < s.p.lo[q]-simplexTol:
 				band = -1
-			case v > s.p.hi[q]+tol:
+			case v > s.p.hi[q]+simplexTol:
 				band = 1
 			}
 			if band != 0 {

@@ -1,5 +1,19 @@
 package lp
 
+// Numerical tolerances of the simplex layer.
+const (
+	// simplexTol is the primal feasibility / dual optimality tolerance,
+	// which presolve also uses for its reductions.
+	simplexTol = 1e-7
+
+	// simplexPivTol is the minimum pivot magnitude the ratio tests accept.
+	simplexPivTol = 1e-9
+
+	// blandAfter is the number of consecutive degenerate iterations after
+	// which pricing switches to Bland's rule.
+	blandAfter = 1000
+)
+
 // Numerical tolerances of the factorization layer. A test
 // (TestFactorTolerancesShared) pins the values and that SparseFactor
 // constructs from them.

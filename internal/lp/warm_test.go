@@ -177,14 +177,15 @@ func TestWarmStartBoundRepair(t *testing.T) {
 	verifyOptimal(t, build(Inf), sol)
 }
 
-// TestBasisAccessors covers the exported shape accessors.
+// TestBasisAccessors: a solve's basis records the shape of the problem it
+// came from, which compatibleWith checks before a warm start.
 func TestBasisAccessors(t *testing.T) {
 	sol := solveLadder(t, 1, nil)
 	m := ladderModel(1)
-	if got := sol.Basis.NumRows(); got != m.NumConstraints() {
-		t.Errorf("NumRows = %d, want %d", got, m.NumConstraints())
+	if got := sol.Basis.numRows; got != len(m.cons) {
+		t.Errorf("numRows = %d, want %d", got, len(m.cons))
 	}
-	if got := sol.Basis.NumCols(); got != m.NumVars()+m.NumConstraints() {
-		t.Errorf("NumCols = %d, want %d", got, m.NumVars()+m.NumConstraints())
+	if got := sol.Basis.numCols; got != m.NumVars()+len(m.cons) {
+		t.Errorf("numCols = %d, want %d", got, m.NumVars()+len(m.cons))
 	}
 }

@@ -260,15 +260,6 @@ func (s *Spec) WorkloadStream() (*workload.Stream, error) {
 	}
 }
 
-// buildTrace materializes the workload stream into a sorted trace.
-func (s *Spec) buildTrace() (*workload.Trace, error) {
-	st, err := s.WorkloadStream()
-	if err != nil {
-		return nil, err
-	}
-	return st.Materialize()
-}
-
 // resolveClasses materializes the spec's class list for the topology.
 func (s *Spec) resolveClasses(topo *topology.Topology) ([]*core.Class, error) {
 	names := s.ClassNames()

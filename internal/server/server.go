@@ -59,11 +59,6 @@ type Config struct {
 	// iterations (0 = solver default). Cancellation latency of a
 	// running job is one poll interval.
 	CheckEvery int
-	// ColdStart disables warm-start basis chaining inside job sweeps
-	// (see experiments.Options.ColdStart). The default chains each class
-	// column's solves over ascending QoS goals, reusing the previous
-	// basis; results are identical either way.
-	ColdStart bool
 	// Presolve selects the LP presolve mode for job sweeps (default
 	// PresolveAuto = on). Bounds are identical either way; only solver
 	// effort differs.
@@ -271,7 +266,6 @@ func (s *Server) runJob(j *Job) {
 			SolveTimeout: s.cfg.SolveTimeout,
 			Ctx:          j.ctx,
 			OnCell:       j.setProgress,
-			ColdStart:    s.cfg.ColdStart,
 		}
 		if j.plan.solveTimeout > 0 {
 			opts.SolveTimeout = j.plan.solveTimeout
@@ -283,7 +277,6 @@ func (s *Server) runJob(j *Job) {
 			fp, err = scenario.Fingerprint(sys)
 			if err == nil {
 				timeout := opts.SolveTimeout
-				opts.ColdStart = false // the shard is the warm-chain column
 				opts.ColumnSolver = func(ctx context.Context, class string, qos []float64) ([]experiments.Point, error) {
 					pts, fromStore, cerr := s.cfg.Dispatcher.SolveColumn(ctx, j.plan.shard(class, fp, timeout))
 					if cerr != nil {

@@ -117,18 +117,6 @@ func (t *Tracker) HoldersOn(n int) []int {
 	return out
 }
 
-// HoldersWithin returns the nodes currently storing object k, in no
-// particular order (the origin is not included; it always holds k).
-func (t *Tracker) HoldersWithin(k int) []int {
-	var out []int
-	for n := range t.stored {
-		if t.Stored(n, k) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Metrics reports the outcome of a simulation run on the same cost scale
 // as the MC-PERF bounds.
 type Metrics struct {

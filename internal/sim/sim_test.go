@@ -66,9 +66,8 @@ func TestTrackerQueries(t *testing.T) {
 	if len(objs) != 2 {
 		t.Errorf("HoldersOn(1) = %v, want two objects", objs)
 	}
-	holders := tr.HoldersWithin(2)
-	if len(holders) != 2 {
-		t.Errorf("HoldersWithin(2) = %v, want two nodes", holders)
+	if !tr.Stored(1, 2) || !tr.Stored(2, 2) || tr.Stored(0, 2) {
+		t.Error("object 2 should be stored on nodes 1 and 2 only")
 	}
 }
 

@@ -16,15 +16,15 @@ func TestDriftModelsConserveRequestMass(t *testing.T) {
 		gen      func() (*Trace, error)
 	}{
 		{"flash-crowd", 5000, func() (*Trace, error) {
-			return GenerateFlashCrowd(FlashCrowdOptions{
+			return materialized(StreamFlashCrowd(FlashCrowdOptions{
 				Nodes: 10, Objects: 12, Requests: 5000, Duration: 12 * time.Hour, Seed: 7,
-			})
+			}))
 		}},
 		{"diurnal-shift", 6000, func() (*Trace, error) {
-			return GenerateDiurnal(DiurnalOptions{
+			return materialized(StreamDiurnal(DiurnalOptions{
 				Nodes: 10, Objects: 12, Requests: 6000, Duration: 24 * time.Hour,
 				Seed: 7, ObjectDrift: true,
-			})
+			}))
 		}},
 	}
 	for _, tc := range cases {

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// FlashCrowdOptions configures GenerateFlashCrowd.
+// FlashCrowdOptions configures StreamFlashCrowd.
 type FlashCrowdOptions struct {
 	Nodes    int           // number of sites (default 20)
 	Objects  int           // number of objects (default 1000)
@@ -73,21 +73,7 @@ func (o FlashCrowdOptions) withDefaults() FlashCrowdOptions {
 	return o
 }
 
-// GenerateFlashCrowd produces a WEB-like baseline with a superimposed
-// flash crowd: during [CrowdStart, CrowdStart+CrowdWidth) an extra burst
-// of requests — CrowdShare of the whole trace — hits a handful of hot
-// objects from every site at once. Request density inside the window is
-// therefore far above baseline, which is the defining property of the
-// scenario. It is StreamFlashCrowd, materialized.
-func GenerateFlashCrowd(opts FlashCrowdOptions) (*Trace, error) {
-	st, err := StreamFlashCrowd(opts)
-	if err != nil {
-		return nil, err
-	}
-	return st.Materialize()
-}
-
-// DiurnalOptions configures GenerateDiurnal.
+// DiurnalOptions configures StreamDiurnal.
 type DiurnalOptions struct {
 	Nodes    int           // number of sites (default 20)
 	Objects  int           // number of objects (default 1000)
@@ -140,17 +126,4 @@ func (o DiurnalOptions) withDefaults() DiurnalOptions {
 		o.NightFloor = 0.1
 	}
 	return o
-}
-
-// GenerateDiurnal produces a diurnal-shift workload: request times are
-// uniform over the horizon, but which sites originate them follows a
-// sinusoidal day-night cycle offset per time zone, so demand circles the
-// globe once per Period. With ObjectDrift the hot object set additionally
-// rotates as the active zone changes. It is StreamDiurnal, materialized.
-func GenerateDiurnal(opts DiurnalOptions) (*Trace, error) {
-	st, err := StreamDiurnal(opts)
-	if err != nil {
-		return nil, err
-	}
-	return st.Materialize()
 }

@@ -6,12 +6,20 @@ import (
 	"time"
 )
 
+// materialized returns a stream constructor's workload as a trace.
+func materialized(st *Stream, err error) (*Trace, error) {
+	if err != nil {
+		return nil, err
+	}
+	return st.Materialize()
+}
+
 func TestGenerateFlashCrowdShape(t *testing.T) {
 	opts := FlashCrowdOptions{
 		Nodes: 10, Objects: 50, Requests: 20000, Duration: 12 * time.Hour,
 		Seed: 5, CrowdShare: 0.4, HotObjects: 3,
 	}
-	tr, err := GenerateFlashCrowd(opts)
+	tr, err := materialized(StreamFlashCrowd(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +64,7 @@ func TestGenerateFlashCrowdRejectsBadOptions(t *testing.T) {
 		func() FlashCrowdOptions { o := base; o.HotObjects = 11; return o }(),
 	}
 	for i, o := range bad {
-		if _, err := GenerateFlashCrowd(o); err == nil {
+		if _, err := materialized(StreamFlashCrowd(o)); err == nil {
 			t.Errorf("case %d: bad options accepted", i)
 		}
 	}
@@ -67,7 +75,7 @@ func TestGenerateDiurnalShape(t *testing.T) {
 		Nodes: 8, Objects: 40, Requests: 40000, Duration: 24 * time.Hour,
 		Seed: 9, Zones: 4,
 	}
-	tr, err := GenerateDiurnal(opts)
+	tr, err := materialized(StreamDiurnal(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +108,7 @@ func TestGenerateDiurnalObjectDrift(t *testing.T) {
 		Nodes: 8, Objects: 64, Requests: 30000, Duration: 24 * time.Hour,
 		Seed: 9, Zones: 4, ObjectDrift: true,
 	}
-	tr, err := GenerateDiurnal(opts)
+	tr, err := materialized(StreamDiurnal(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,26 +136,26 @@ func TestGenerateDiurnalObjectDrift(t *testing.T) {
 }
 
 func TestModelGeneratorsDeterministic(t *testing.T) {
-	f1, err := GenerateFlashCrowd(FlashCrowdOptions{Nodes: 6, Objects: 20, Requests: 5000, Duration: 6 * time.Hour, Seed: 2})
+	f1, err := materialized(StreamFlashCrowd(FlashCrowdOptions{Nodes: 6, Objects: 20, Requests: 5000, Duration: 6 * time.Hour, Seed: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := GenerateFlashCrowd(FlashCrowdOptions{Nodes: 6, Objects: 20, Requests: 5000, Duration: 6 * time.Hour, Seed: 2})
+	f2, err := materialized(StreamFlashCrowd(FlashCrowdOptions{Nodes: 6, Objects: 20, Requests: 5000, Duration: 6 * time.Hour, Seed: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(f1, f2) {
-		t.Fatal("GenerateFlashCrowd is not deterministic in its seed")
+		t.Fatal("StreamFlashCrowd is not deterministic in its seed")
 	}
-	d1, err := GenerateDiurnal(DiurnalOptions{Nodes: 6, Objects: 20, Requests: 5000, Duration: 6 * time.Hour, Seed: 2, Zones: 3})
+	d1, err := materialized(StreamDiurnal(DiurnalOptions{Nodes: 6, Objects: 20, Requests: 5000, Duration: 6 * time.Hour, Seed: 2, Zones: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := GenerateDiurnal(DiurnalOptions{Nodes: 6, Objects: 20, Requests: 5000, Duration: 6 * time.Hour, Seed: 2, Zones: 3})
+	d2, err := materialized(StreamDiurnal(DiurnalOptions{Nodes: 6, Objects: 20, Requests: 5000, Duration: 6 * time.Hour, Seed: 2, Zones: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(d1, d2) {
-		t.Fatal("GenerateDiurnal is not deterministic in its seed")
+		t.Fatal("StreamDiurnal is not deterministic in its seed")
 	}
 }

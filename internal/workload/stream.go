@@ -1,13 +1,13 @@
 package workload
 
 // The streaming trace path. A Stream is a deterministic access producer:
-// the same generator distributions and seed that back GenerateWeb/Group/
-// FlashCrowd/Diurnal, exposed one bounded chunk at a time instead of as a
+// the same generator distributions and seed that back GenerateWeb and
+// GenerateGroup, exposed one bounded chunk at a time instead of as a
 // materialized []Access. Stream.Counts aggregates the whole trace into
 // bucketed Counts in one pass — O(nodes x intervals x objects) memory, not
 // O(requests) — which is what lets the paper's GROUP workload run at its
 // full 16M-request scale. Materialize() recovers the exact Trace the
-// legacy generators produced (same draws, same sort), so the two paths are
+// generators produce (same draws, same sort), so the two paths are
 // identical by construction and the differential tests hold bit for bit.
 
 import (
@@ -257,9 +257,13 @@ func StreamGroup(opts GroupOptions) (*Stream, error) {
 	})
 }
 
-// StreamFlashCrowd returns the flash-crowd workload as a stream;
-// GenerateFlashCrowd is its materialized form. Generation order is the
-// baseline block followed by the crowd block, as before.
+// StreamFlashCrowd returns the flash-crowd workload as a stream: a
+// WEB-like baseline with a superimposed flash crowd. During [CrowdStart,
+// CrowdStart+CrowdWidth) an extra burst of requests — CrowdShare of the
+// whole trace — hits a handful of hot objects from every site at once, so
+// request density inside the window is far above baseline, which is the
+// defining property of the scenario. Generation order is the baseline
+// block followed by the crowd block.
 func StreamFlashCrowd(opts FlashCrowdOptions) (*Stream, error) {
 	opts = opts.withDefaults()
 	if opts.Nodes <= 0 || opts.Objects <= 0 || opts.Requests <= 0 {
@@ -321,8 +325,11 @@ func StreamFlashCrowd(opts FlashCrowdOptions) (*Stream, error) {
 	}, nil
 }
 
-// StreamDiurnal returns the diurnal-shift workload as a stream;
-// GenerateDiurnal is its materialized form.
+// StreamDiurnal returns the diurnal-shift workload as a stream: request
+// times are uniform over the horizon, but which sites originate them
+// follows a sinusoidal day-night cycle offset per time zone, so demand
+// circles the globe once per Period. With ObjectDrift the hot object set
+// additionally rotates as the active zone changes.
 func StreamDiurnal(opts DiurnalOptions) (*Stream, error) {
 	opts = opts.withDefaults()
 	if opts.Nodes <= 0 || opts.Objects <= 0 || opts.Requests <= 0 {

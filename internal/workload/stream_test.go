@@ -45,14 +45,14 @@ func streamPairs(t *testing.T) map[string]struct {
 		stream func() *Stream
 		trace  *Trace
 	}{mustStream(StreamGroup(group)), tr}
-	if tr, err = GenerateFlashCrowd(crowd); err != nil {
+	if tr, err = materialized(StreamFlashCrowd(crowd)); err != nil {
 		t.Fatal(err)
 	}
 	out["flash-crowd"] = struct {
 		stream func() *Stream
 		trace  *Trace
 	}{mustStream(StreamFlashCrowd(crowd)), tr}
-	if tr, err = GenerateDiurnal(day); err != nil {
+	if tr, err = materialized(StreamDiurnal(day)); err != nil {
 		t.Fatal(err)
 	}
 	out["diurnal"] = struct {

@@ -160,3 +160,46 @@ func (t *Trace) Reassign(assign []int, open []int) (*Trace, error) {
 	}
 	return out, nil
 }
+
+// Stats summarizes a trace; used by documentation output and tests.
+type Stats struct {
+	Requests     int
+	Reads        int
+	Writes       int
+	HottestObj   int
+	HottestCount int
+	ColdestObj   int
+	ColdestCount int
+	ActiveNodes  int
+}
+
+// Describe computes summary statistics for the trace.
+func Describe(t *Trace) Stats {
+	objCount := make([]int, t.NumObjects)
+	nodeSeen := make([]bool, t.NumNodes)
+	s := Stats{Requests: len(t.Accesses)}
+	for _, a := range t.Accesses {
+		objCount[a.Object]++
+		nodeSeen[a.Node] = true
+		if a.Write {
+			s.Writes++
+		} else {
+			s.Reads++
+		}
+	}
+	s.ColdestCount = -1
+	for k, c := range objCount {
+		if c > s.HottestCount {
+			s.HottestCount, s.HottestObj = c, k
+		}
+		if s.ColdestCount < 0 || c < s.ColdestCount {
+			s.ColdestCount, s.ColdestObj = c, k
+		}
+	}
+	for _, seen := range nodeSeen {
+		if seen {
+			s.ActiveNodes++
+		}
+	}
+	return s
+}

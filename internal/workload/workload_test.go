@@ -193,97 +193,6 @@ func TestBucketPreservesTotals(t *testing.T) {
 	}
 }
 
-func TestBoundAppliesTo(t *testing.T) {
-	d := time.Hour
-	cases := []struct {
-		prime time.Duration
-		want  bool
-	}{
-		{time.Hour, true},
-		{2 * time.Hour, true},
-		{3 * time.Hour, true},
-		{90 * time.Minute, false},
-		{30 * time.Minute, false},
-	}
-	for _, c := range cases {
-		if got := BoundAppliesTo(d, c.prime); got != c.want {
-			t.Errorf("BoundAppliesTo(1h, %v) = %v, want %v", c.prime, got, c.want)
-		}
-	}
-}
-
-func TestPerAccessInterval(t *testing.T) {
-	// Two nodes, fully interacting. Gaps: 10m (between 0m and 10m) and 25m.
-	// m1 = 10m, m2 = 25m >= 2*m1, so delta = m1.
-	tr := &Trace{
-		Accesses: []Access{
-			{At: 0, Node: 0},
-			{At: 10 * time.Minute, Node: 1},
-			{At: 35 * time.Minute, Node: 0},
-		},
-		NumNodes: 2, NumObjects: 1, Duration: time.Hour,
-	}
-	full := [][]bool{{true, true}, {true, true}}
-	d, err := PerAccessInterval(tr, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 10*time.Minute {
-		t.Errorf("delta = %v, want 10m (m2 >= 2*m1)", d)
-	}
-
-	// Add an access creating a 15m gap: m1 = 10m, m2 = 15m < 2*m1 -> m1/2.
-	tr2 := &Trace{
-		Accesses: []Access{
-			{At: 0, Node: 0},
-			{At: 10 * time.Minute, Node: 1},
-			{At: 25 * time.Minute, Node: 0},
-		},
-		NumNodes: 2, NumObjects: 1, Duration: time.Hour,
-	}
-	d, err = PerAccessInterval(tr2, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 5*time.Minute {
-		t.Errorf("delta = %v, want 5m (m2 < 2*m1)", d)
-	}
-}
-
-func TestPerAccessIntervalRespectsSphere(t *testing.T) {
-	// Nodes do not interact: each node sees only its own accesses, so the
-	// 1-minute cross-node gap must be ignored.
-	tr := &Trace{
-		Accesses: []Access{
-			{At: 0, Node: 0},
-			{At: time.Minute, Node: 1},
-			{At: 30 * time.Minute, Node: 0},
-			{At: 61 * time.Minute, Node: 1},
-		},
-		NumNodes: 2, NumObjects: 1, Duration: 2 * time.Hour,
-	}
-	local := [][]bool{{true, false}, {false, true}}
-	d, err := PerAccessInterval(tr, local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// m1 = 30m (node 0), m2 = 60m (node 1). Since m2 >= 2*m1, delta = m1.
-	// The 1-minute cross-node gap must not shrink it.
-	if d != 30*time.Minute {
-		t.Errorf("delta = %v, want 30m (cross-node gap ignored)", d)
-	}
-}
-
-func TestPerAccessIntervalErrors(t *testing.T) {
-	tr := &Trace{Accesses: []Access{{At: 0}}, NumNodes: 1, NumObjects: 1, Duration: time.Hour}
-	if _, err := PerAccessInterval(tr, [][]bool{{true}}); err == nil {
-		t.Error("single access should yield no gap and an error")
-	}
-	if _, err := PerAccessInterval(tr, nil); err == nil {
-		t.Error("matrix size mismatch accepted")
-	}
-}
-
 func TestReassign(t *testing.T) {
 	tr := &Trace{
 		Accesses: []Access{
