@@ -78,7 +78,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	counts = truncate(counts, *intervalsCap)
+	counts = counts.Truncate(*intervalsCap)
 	cfg := controller.Config{
 		Topo: sys.Topo,
 		Cost: core.DefaultCost(),
@@ -217,22 +217,6 @@ func scoreTrajectory(w io.Writer, topo *topology.Topology, trace *workload.Trace
 	}
 	fmt.Fprintln(w)
 	return nil
-}
-
-// truncate limits a bucketed workload to its first n intervals.
-func truncate(c *workload.Counts, n int) *workload.Counts {
-	if n <= 0 || n >= c.Intervals {
-		return c
-	}
-	out := &workload.Counts{
-		Reads: make([][][]int, c.Nodes), Writes: make([][][]int, c.Nodes),
-		Nodes: c.Nodes, Intervals: n, Objects: c.Objects, Delta: c.Delta,
-	}
-	for i := range out.Reads {
-		out.Reads[i] = c.Reads[i][:n]
-		out.Writes[i] = c.Writes[i][:n]
-	}
-	return out
 }
 
 func maxf(a, b float64) float64 {

@@ -7,7 +7,8 @@
 //
 // The process runs in one of three modes:
 //
-//	standalone   (default) solve every job in-process — today's behavior
+//	standalone   (default) serve the job API and solve each class column
+//	             on one in-process worker
 //	coordinator  serve the job API but dispatch each class column to
 //	             registered workers, with a persistent content-addressed
 //	             result store (-store) deduplicating across restarts
@@ -74,7 +75,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		storeDir     = fs.String("store", "", "coordinator: persistent result-store directory (empty = no persistence)")
 		workerTTL    = fs.Duration("worker-ttl", 10*time.Second, "coordinator: drop workers silent for this long")
 		shardTimeout = fs.Duration("shard-timeout", 10*time.Minute, "coordinator: wall-clock cap per shard dispatch attempt")
-		shardRetries = fs.Int("shard-retries", 3, "coordinator: additional workers a failed shard is retried on")
+		shardRetries = fs.Int("shard-retries", 3, "coordinator: additional workers a shard is retried on after a transport failure")
 		workerWait   = fs.Duration("worker-wait", time.Minute, "coordinator: how long a shard waits for any live worker")
 
 		// Worker-mode flags.
@@ -153,7 +154,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 			WorkerWait:   *workerWait,
 			Logf:         logger.Printf,
 		})
-		cfg.Dispatcher = co
+		cfg.Coordinator = co
 		srv := server.New(cfg)
 		// The registry routes live beside the job API on one listener.
 		mux := http.NewServeMux()

@@ -31,18 +31,9 @@ type Config struct {
 	Cost  core.Cost
 	// Goal is the per-user QoS goal every interval's placement must meet.
 	Goal core.Goal
-	// Class restricts placement; nil means the general (unrestricted)
-	// class. Only unrestricted classes are drift-rebindable.
-	Class *core.Class
 	// LP configures the per-interval solves. Options.Start is managed by
 	// the controller (the warm chain) and must be left nil.
 	LP lp.Options
-	// Round configures the per-interval rounding pass.
-	Round core.RoundOptions
-	// Cold disables warm-basis chaining: every interval re-solves the
-	// rebound problem from scratch. Benchmarks use it to isolate the value
-	// of the warm chain.
-	Cold bool
 }
 
 // Controller is the online placement control loop. It is single-threaded:
@@ -101,9 +92,10 @@ type StepResult struct {
 	Stats lp.Stats `json:"-"`
 }
 
-// New compiles the controller's drift-rebindable problem. The returned
-// controller holds no placement yet: the first Step plans from a cold
-// start (no replicas, no creation discount).
+// New compiles the controller's drift-rebindable problem, the general
+// (unrestricted) class. The returned controller holds no placement yet:
+// the first Step plans from a cold start (no replicas, no creation
+// discount).
 func New(cfg Config) (*Controller, error) {
 	if cfg.Topo == nil {
 		return nil, errors.New("controller: config needs a topology")
@@ -111,7 +103,7 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.LP.Start != nil {
 		return nil, errors.New("controller: Options.Start is managed by the controller")
 	}
-	drift, err := core.CompileDriftQoS(cfg.Topo, cfg.Objects, cfg.Delta, cfg.Cost, cfg.Goal, cfg.Class)
+	drift, err := core.CompileDriftQoS(cfg.Topo, cfg.Objects, cfg.Delta, cfg.Cost, cfg.Goal)
 	if err != nil {
 		return nil, err
 	}
@@ -132,10 +124,8 @@ func (c *Controller) Step(reads [][]int) (*StepResult, error) {
 	if err := c.drift.SetInitial(c.placement); err != nil {
 		return nil, fmt.Errorf("controller: interval %d: %w", c.interval, err)
 	}
-	opts := core.BoundOptions{LP: c.cfg.LP, Round: c.cfg.Round}
-	if !c.cfg.Cold && c.basis != nil {
-		opts.LP.Start = c.basis
-	}
+	opts := core.BoundOptions{LP: c.cfg.LP}
+	opts.LP.Start = c.basis
 	b, err := c.drift.LowerBound(opts)
 	if err != nil {
 		return nil, fmt.Errorf("controller: interval %d: %w", c.interval, err)
@@ -232,11 +222,8 @@ type Trajectory struct {
 	WallNs          int64
 }
 
-// Replay drives a controller over every interval of a bucketed workload.
-// In reactive mode (lookahead false) interval i is planned from interval
-// i-1's demand — the controller only ever sees the past, and the realized
-// staleness is recorded per step; with lookahead the controller plans each
-// interval from its own demand (staleness 0 by construction).
+// Replay drives a new controller over every interval of a bucketed
+// workload (see Run) and assembles its trajectory.
 //
 // cfg.Objects and cfg.Delta are taken from the counts when zero.
 func Replay(cfg Config, counts *workload.Counts, lookahead bool) (*Trajectory, error) {
@@ -249,9 +236,6 @@ func Replay(cfg Config, counts *workload.Counts, lookahead bool) (*Trajectory, e
 	if cfg.Delta == 0 {
 		cfg.Delta = counts.Delta
 	}
-	if cfg.Objects != counts.Objects {
-		return nil, fmt.Errorf("controller: config plans %d objects, counts has %d", cfg.Objects, counts.Objects)
-	}
 	ctl, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -260,31 +244,54 @@ func Replay(cfg Config, counts *workload.Counts, lookahead bool) (*Trajectory, e
 	for n := range tr.Plan {
 		tr.Plan[n] = make([][]bool, counts.Intervals)
 	}
-	planned := zeroReads(counts.Nodes, counts.Objects)
-	for i := 0; i < counts.Intervals; i++ {
-		realized, err := counts.IntervalReads(i)
-		if err != nil {
-			return nil, err
-		}
-		if lookahead {
-			planned = realized
-		}
-		st, err := ctl.Step(planned)
-		if err != nil {
-			return nil, err
-		}
-		if st.Staleness, err = workload.Staleness(planned, realized); err != nil {
-			return nil, err
-		}
+	err = ctl.Run(counts, lookahead, func(st *StepResult) error {
 		for n := range tr.Plan {
-			tr.Plan[n][i] = st.Placement[n]
+			tr.Plan[n][len(tr.Steps)] = st.Placement[n]
 		}
 		tr.Steps = append(tr.Steps, st)
 		tr.TotalIterations += st.Iterations
 		tr.WallNs += st.WallNs
-		planned = realized
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return tr, nil
+}
+
+// Run steps the controller over every interval of a bucketed workload and
+// hands each step to each as soon as it is solved; an error from each
+// stops the run and is returned. In reactive mode (lookahead false)
+// interval i is planned from interval i-1's demand — the controller only
+// ever sees the past, and the realized staleness is recorded per step;
+// with lookahead the controller plans each interval from its own demand
+// (staleness 0 by construction).
+func (c *Controller) Run(counts *workload.Counts, lookahead bool, each func(*StepResult) error) error {
+	if counts.Objects != c.cfg.Objects {
+		return fmt.Errorf("controller: config plans %d objects, counts has %d", c.cfg.Objects, counts.Objects)
+	}
+	planned := zeroReads(counts.Nodes, counts.Objects)
+	for i := 0; i < counts.Intervals; i++ {
+		realized, err := counts.IntervalReads(i)
+		if err != nil {
+			return err
+		}
+		if lookahead {
+			planned = realized
+		}
+		st, err := c.Step(planned)
+		if err != nil {
+			return err
+		}
+		if st.Staleness, err = workload.Staleness(planned, realized); err != nil {
+			return err
+		}
+		if err := each(st); err != nil {
+			return err
+		}
+		planned = realized
+	}
+	return nil
 }
 
 // ColdReplay is the baseline Replay is measured against: the same
@@ -308,10 +315,6 @@ func ColdReplay(cfg Config, counts *workload.Counts, lookahead bool, follow *Tra
 	}
 	if cfg.Delta == 0 {
 		cfg.Delta = counts.Delta
-	}
-	class := cfg.Class
-	if class == nil {
-		class = core.General()
 	}
 	if follow != nil && len(follow.Steps) != counts.Intervals {
 		return nil, fmt.Errorf("controller: followed trajectory has %d steps, counts has %d intervals",
@@ -349,7 +352,7 @@ func ColdReplay(cfg Config, counts *workload.Counts, lookahead bool, follow *Tra
 		if err := in.SetInitial(placement); err != nil {
 			return nil, fmt.Errorf("controller: cold interval %d: %w", i, err)
 		}
-		b, err := in.LowerBound(class, core.BoundOptions{LP: cfg.LP, Round: cfg.Round})
+		b, err := in.LowerBound(core.General(), core.BoundOptions{LP: cfg.LP})
 		if err != nil {
 			return nil, fmt.Errorf("controller: cold interval %d: %w", i, err)
 		}

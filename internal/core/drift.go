@@ -55,17 +55,12 @@ type DriftQoS struct {
 // cold-start (empty) initial placement; install the first interval with
 // SetReads/SetInitial.
 //
-// Only unrestricted (general-class) placement is supported: restricted
-// classes derive their create-permission structure from the read counts
+// The problem is the general (unrestricted) class: restricted classes
+// derive their create-permission structure from the read counts
 // themselves, so their LP shape is not drift-invariant. Write costs
 // (Cost.Delta) are rejected for the same reason.
-func CompileDriftQoS(topo *topology.Topology, objects int, delta time.Duration, cost Cost, goal Goal, class *Class) (*DriftQoS, error) {
-	if class == nil {
-		class = General()
-	}
-	if !class.Unrestricted {
-		return nil, fmt.Errorf("core: CompileDriftQoS requires an unrestricted class, got %s", class.Name)
-	}
+func CompileDriftQoS(topo *topology.Topology, objects int, delta time.Duration, cost Cost, goal Goal) (*DriftQoS, error) {
+	class := General()
 	if goal.Kind != QoSGoal {
 		return nil, fmt.Errorf("core: CompileDriftQoS on goal kind %d", goal.Kind)
 	}

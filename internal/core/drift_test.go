@@ -52,7 +52,7 @@ func TestDriftQoSMatchesFreshBuildPerInterval(t *testing.T) {
 	topo, counts := driftCounts(t, 8, 6)
 	goal := QoS(0.95, 60)
 	cost := DefaultCost()
-	d, err := CompileDriftQoS(topo, counts.Objects, counts.Delta, cost, goal, nil)
+	d, err := CompileDriftQoS(topo, counts.Objects, counts.Delta, cost, goal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestDriftQoSMatchesFreshBuildPerInterval(t *testing.T) {
 func TestDriftQoSInitialPlacementDiscountsCreation(t *testing.T) {
 	topo, counts := driftCounts(t, 6, 5)
 	goal := QoS(0.9, 60)
-	d, err := CompileDriftQoS(topo, counts.Objects, counts.Delta, DefaultCost(), goal, nil)
+	d, err := CompileDriftQoS(topo, counts.Objects, counts.Delta, DefaultCost(), goal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDriftQoSFarNodeForcesLocalReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := CompileDriftQoS(topo, 2, time.Hour, DefaultCost(), QoS(0.9, 50), nil)
+	d, err := CompileDriftQoS(topo, 2, time.Hour, DefaultCost(), QoS(0.9, 50))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,11 @@ type CoordinatorConfig struct {
 	// (default 10s). A killed worker stops being picked within one TTL
 	// even if its death was never observed on a dispatch.
 	WorkerTTL time.Duration
-	// ShardTimeout caps one dispatch attempt end to end (default 10m).
+	// ShardTimeout caps one remote dispatch attempt end to end (default
+	// 10m).
 	ShardTimeout time.Duration
-	// ShardRetries is how many additional workers a failed or timed-out
-	// shard is retried on (default 3).
+	// ShardRetries is how many additional workers a shard is retried on
+	// after a transport failure (default 3).
 	ShardRetries int
 	// WorkerWait bounds how long a dispatch waits for any live worker to
 	// appear before failing the shard (default 60s); it covers the
@@ -38,16 +39,18 @@ type CoordinatorConfig struct {
 	Logf func(format string, args ...interface{})
 }
 
-// Coordinator owns the worker registry and the store, and solves columns
-// by store lookup or remote dispatch. It implements the server's
-// Dispatcher hook, so the serving layer above it is unchanged: jobs,
-// dedup, progress and results all stay in the server; the coordinator
-// only answers "solve this column".
+// Coordinator owns the workers and the store, and solves columns by store
+// lookup or dispatch to a worker. The serving layer solves every job's
+// columns through it: jobs, dedup, progress and results all stay in the
+// server; the coordinator only answers "solve this column".
 type Coordinator struct {
 	cfg CoordinatorConfig
 	// client issues the dispatch requests. It has no global timeout;
 	// per-shard timeouts come from ShardTimeout.
 	client *http.Client
+	// local, when set, is the coordinator's one worker, running in this
+	// process; no remote worker is then dispatched to.
+	local *Worker
 
 	mu       sync.Mutex
 	lastSeen map[string]time.Time // worker URL -> last heartbeat
@@ -78,6 +81,19 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		cfg.WorkerWait = time.Minute
 	}
 	return &Coordinator{cfg: cfg, client: &http.Client{}, lastSeen: make(map[string]time.Time)}
+}
+
+// NewLocalCoordinator returns the coordinator of a standalone server: its
+// one worker is w, running in process on the system each shard carries,
+// as many shards at once as the server dispatches (w's Concurrency bounds
+// only its HTTP handler). It keeps no store and takes no registrations.
+// An in-process solve has no transport to fail, so nothing is retried,
+// and no shard timeout caps it: the solver's own per-solve timeout still
+// bounds every LP.
+func NewLocalCoordinator(w *Worker) *Coordinator {
+	c := NewCoordinator(CoordinatorConfig{})
+	c.local = w
+	return c
 }
 
 func (c *Coordinator) logf(format string, args ...interface{}) {
@@ -144,11 +160,16 @@ func (c *Coordinator) Workers() []WorkerView {
 	return views
 }
 
-// pickWorker chooses the next live worker not yet tried for this shard,
-// waiting up to WorkerWait for one to appear. When every live worker has
-// been tried, the tried set is cleared: re-dispatching to a worker that
-// already failed beats failing a retriable shard outright.
+// pickWorker chooses the worker for the next attempt at a shard: the
+// in-process worker when there is one, else the next live worker not yet
+// tried for this shard, waiting up to WorkerWait for one to appear. When
+// every live worker has been tried, the tried set is cleared:
+// re-dispatching to a worker whose transport failed beats failing a
+// retriable shard outright.
 func (c *Coordinator) pickWorker(ctx context.Context, tried map[string]bool) (string, error) {
+	if c.local != nil {
+		return "in-process", nil
+	}
 	deadline := time.Now().Add(c.cfg.WorkerWait)
 	for {
 		urls := c.alive()
@@ -184,10 +205,13 @@ func (c *Coordinator) pickWorker(ctx context.Context, tried map[string]bool) (st
 
 // SolveColumn answers one column: from the store when the column was ever
 // solved before (by any coordinator lifetime against the same store),
-// otherwise by dispatching the shard to a worker, retrying on another
-// worker when an attempt fails or times out, and persisting the result.
-// The bool reports a store-served column, which the caller uses to keep
-// "fresh solver effort" metrics honest across restarts.
+// otherwise by dispatching the shard to a worker and persisting the
+// result. Only a transport failure — the worker was unreachable, the
+// attempt timed out, or the reply was cut off — is retried, on another
+// worker. A worker that answers with an error fails the shard at once:
+// solves are deterministic, so the shard itself is at fault. The bool
+// reports a store-served column, which the caller uses to keep "fresh
+// solver effort" metrics honest across restarts.
 func (c *Coordinator) SolveColumn(ctx context.Context, shard ShardJob) ([]experiments.Point, bool, error) {
 	key := ColumnKey(shard.Fingerprint, shard.Class)
 	if c.cfg.Store != nil {
@@ -231,12 +255,13 @@ func (c *Coordinator) SolveColumn(ctx context.Context, shard ShardJob) ([]experi
 			}
 			lastErr = fmt.Errorf("worker %s: %w", url, err)
 			c.logf("shard %s/%s attempt %d: %v", shard.Fingerprint, shard.Class, attempt+1, lastErr)
-			// Only a transport-level failure marks the worker dead; a
-			// worker that answered an error is alive (the shard itself may
-			// be the problem) and stays registered.
-			if errors.Is(err, errWorkerDown) {
-				c.forget(url)
+			if !errors.Is(err, errTransport) {
+				c.failures.Add(1)
+				return nil, false, lastErr
 			}
+			// A transport failure marks the worker dead until its
+			// heartbeat returns.
+			c.forget(url)
 			continue
 		}
 		if c.cfg.Store != nil {
@@ -252,13 +277,16 @@ func (c *Coordinator) SolveColumn(ctx context.Context, shard ShardJob) ([]experi
 	return nil, false, fmt.Errorf("dist: shard %s exhausted %d attempts: %w", shard.Class, c.cfg.ShardRetries+1, lastErr)
 }
 
-// errWorkerDown marks a dispatch failure where the worker never answered
-// (connection refused, reset, timeout): the worker is presumed dead and
-// dropped from the registry until its heartbeat returns.
-var errWorkerDown = errors.New("worker unreachable")
+// errTransport marks an attempt that failed on the way to or from a
+// remote worker (connection refused or reset, timeout, reply cut off),
+// as opposed to an answer the worker gave.
+var errTransport = errors.New("transport failure")
 
-// dispatch runs one attempt against one worker.
+// dispatch runs one attempt on one worker.
 func (c *Coordinator) dispatch(ctx context.Context, workerURL string, shard *ShardJob) ([]experiments.Point, error) {
+	if c.local != nil {
+		return c.local.solve(ctx, shard)
+	}
 	body, err := json.Marshal(shard)
 	if err != nil {
 		return nil, err
@@ -272,7 +300,7 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, shard *Sha
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errWorkerDown, err)
+		return nil, fmt.Errorf("%w: %v", errTransport, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -281,7 +309,7 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, shard *Sha
 	}
 	var res ColumnResult
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return nil, fmt.Errorf("decode result: %w", err)
+		return nil, fmt.Errorf("%w: decode result: %v", errTransport, err)
 	}
 	if res.Class != shard.Class {
 		return nil, fmt.Errorf("answered class %q, want %q", res.Class, shard.Class)

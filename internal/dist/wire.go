@@ -1,10 +1,11 @@
 // Package dist implements the distributed sweep subsystem: a coordinator
 // that splits a placement job into column shards — one shard per (class,
 // ascending-QoS-grid) warm chain, the dispatch unit the sweep engine
-// already uses — and farms them over HTTP to registered worker
-// processes, backed by a persistent content-addressed result store so a
-// completed column survives coordinator restarts and is never solved
-// twice anywhere in the fleet.
+// already uses — and farms them to its workers, backed by an optional
+// persistent content-addressed result store so a completed column
+// survives coordinator restarts and is never solved twice anywhere in the
+// fleet. A coordinator's workers are either registered processes reached
+// over HTTP or one in-process worker (a standalone placementd).
 //
 // Determinism is the load-bearing property: a column's points depend
 // only on the materialized system and the class, never on which process
@@ -26,14 +27,12 @@ import (
 	"wideplace/internal/workload"
 )
 
-// ShardJob is one column shard on the wire: the full system statement (in
-// exactly one of the three forms the job API accepts) plus the class
-// whose column the worker must solve. The worker rebuilds the system from
-// the statement — generation is deterministic — and verifies the rebuild
-// against Fingerprint before solving, so a coordinator/worker version
-// drift that changes the materialized system fails loudly instead of
-// silently contaminating the store.
-type ShardJob struct {
+// Statement states a system in exactly one of the three forms the job API
+// accepts: a preset spec, a declarative scenario, or an explicit topology
+// + trace with its interval, latency threshold and QoS grid. Building is
+// deterministic, so the statement is all a remote worker needs to
+// materialize the system the coordinator built.
+type Statement struct {
 	// Spec selects a generated preset system.
 	Spec *experiments.Spec `json:"spec,omitempty"`
 	// Scenario states the system declaratively.
@@ -44,9 +43,40 @@ type ShardJob struct {
 	DeltaMillis int64              `json:"deltaMillis,omitempty"`
 	Tlat        float64            `json:"tlat,omitempty"`
 	QoS         []float64          `json:"qos,omitempty"`
+}
+
+// Build materializes the stated system. Exactly one form must be set;
+// callers state systems from validated job plans, so a statement with no
+// form is an internal error, not user input.
+func (st *Statement) Build() (*experiments.System, error) {
+	switch {
+	case st.Spec != nil:
+		return experiments.Build(*st.Spec)
+	case st.Scenario != nil:
+		res, err := scenario.Compile(*st.Scenario)
+		if err != nil {
+			return nil, err
+		}
+		return res.System, nil
+	case st.Topology != nil && st.Trace != nil:
+		return experiments.NewSystem(st.Topology, st.Trace,
+			time.Duration(st.DeltaMillis)*time.Millisecond, st.Tlat, st.QoS)
+	default:
+		return nil, fmt.Errorf("dist: statement names no system (want spec, scenario or topology+trace)")
+	}
+}
+
+// ShardJob is one column shard on the wire: the full system statement
+// plus the class whose column the worker must solve. A remote worker
+// rebuilds the system from the statement and verifies the rebuild
+// against Fingerprint before solving, so a coordinator/worker version
+// drift that changes the materialized system fails loudly instead of
+// silently contaminating the store.
+type ShardJob struct {
+	Statement
 
 	// Class names the heuristic class whose column this shard solves
-	// (resolvable by core.ClassByName on the rebuilt system).
+	// (resolvable by core.ClassByName on the built system).
 	Class string `json:"class"`
 	// Fingerprint is the scenario.Fingerprint of the coordinator's build
 	// of the system; the worker's rebuild must reproduce it.
@@ -54,6 +84,22 @@ type ShardJob struct {
 	// SolveTimeoutMillis caps each LP solve's wall clock (0 = worker
 	// default).
 	SolveTimeoutMillis int64 `json:"solveTimeoutMillis,omitempty"`
+
+	// sys is the coordinator's own build of the statement. It never
+	// crosses the wire: an in-process worker solves on it directly,
+	// without rebuilding or fingerprinting the system again.
+	sys *experiments.System
+}
+
+// NewShard returns the shard template of one job: sys is the caller's
+// build of st, fingerprinted here once for every column; set Class per
+// column. timeout is the job's effective per-solve cap.
+func NewShard(st Statement, sys *experiments.System, timeout time.Duration) (ShardJob, error) {
+	fp, err := scenario.Fingerprint(sys)
+	if err != nil {
+		return ShardJob{}, err
+	}
+	return ShardJob{Statement: st, Fingerprint: fp, SolveTimeoutMillis: timeout.Milliseconds(), sys: sys}, nil
 }
 
 // ColumnResult is the worker's reply: the solved column in ascending QoS
@@ -65,42 +111,25 @@ type ColumnResult struct {
 	Points []experiments.Point `json:"points"`
 }
 
-// BuildSystem materializes the shard's system. Exactly one form must be
-// set; the caller (coordinator) constructs shards from validated job
-// plans, so a malformed shard is an internal error, not user input.
-func (sh *ShardJob) BuildSystem() (*experiments.System, error) {
-	switch {
-	case sh.Spec != nil:
-		return experiments.Build(*sh.Spec)
-	case sh.Scenario != nil:
-		res, err := scenario.Compile(*sh.Scenario)
+// Solve runs the shard locally: resolve the class and run the
+// single-class warm-chained sweep on the shard's system — the one it
+// carries, or else a rebuild from the statement whose fingerprint must
+// match. Both kinds of worker go through here, so the solved column is
+// identical wherever it runs.
+func (sh *ShardJob) Solve(opts experiments.Options) ([]experiments.Point, error) {
+	sys := sh.sys
+	if sys == nil {
+		var err error
+		if sys, err = sh.Build(); err != nil {
+			return nil, err
+		}
+		fp, err := scenario.Fingerprint(sys)
 		if err != nil {
 			return nil, err
 		}
-		return res.System, nil
-	case sh.Topology != nil && sh.Trace != nil:
-		return experiments.NewSystem(sh.Topology, sh.Trace,
-			time.Duration(sh.DeltaMillis)*time.Millisecond, sh.Tlat, sh.QoS)
-	default:
-		return nil, fmt.Errorf("dist: shard states no system (want spec, scenario or topology+trace)")
-	}
-}
-
-// Solve runs the shard locally: rebuild the system, verify its
-// fingerprint, resolve the class and run the single-class warm-chained
-// sweep. Both the worker's /solve handler and in-process tests go through
-// here, so the solved column is identical wherever it runs.
-func (sh *ShardJob) Solve(opts experiments.Options) ([]experiments.Point, error) {
-	sys, err := sh.BuildSystem()
-	if err != nil {
-		return nil, err
-	}
-	fp, err := scenario.Fingerprint(sys)
-	if err != nil {
-		return nil, err
-	}
-	if sh.Fingerprint != "" && fp != sh.Fingerprint {
-		return nil, fmt.Errorf("dist: rebuilt system fingerprint %s does not match shard %s (coordinator/worker drift?)", fp, sh.Fingerprint)
+		if sh.Fingerprint != "" && fp != sh.Fingerprint {
+			return nil, fmt.Errorf("dist: rebuilt system fingerprint %s does not match shard %s (coordinator/worker drift?)", fp, sh.Fingerprint)
+		}
 	}
 	class, err := core.ClassByName(sys.Topo, sys.Spec.Tlat, sh.Class)
 	if err != nil {

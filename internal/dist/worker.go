@@ -36,9 +36,10 @@ type WorkerConfig struct {
 	Presolve lp.PresolveMode
 }
 
-// Worker solves column shards on demand. It is the dumb half of the
-// subsystem: no queue, no store, no registry — it solves what it is sent
-// and reports its own effort on /metrics.
+// Worker solves column shards on demand: over HTTP for a remote
+// coordinator, or in process as a standalone coordinator's one worker. It
+// is the dumb half of the subsystem: no queue, no store, no registry — it
+// solves what it is sent and reports its own effort on /metrics.
 type Worker struct {
 	cfg     WorkerConfig
 	sem     chan struct{}

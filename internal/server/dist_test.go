@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"wideplace/internal/dist"
-	"wideplace/internal/experiments"
 )
 
 // startDistWorker runs an in-process dist worker over HTTP.
@@ -37,84 +35,89 @@ func getTSV(t *testing.T, ts *httptest.Server, id string) string {
 	return string(raw)
 }
 
-// TestDispatcherJobByteIdentical is the serving layer's acceptance test
-// for the distributed path: a job solved through a coordinator and two
-// remote workers serves a TSV byte-identical to standalone mode; a
-// second server lifetime over the same store answers the job without any
-// fresh solver effort (placementd_lp_iterations_total stays 0) while the
-// TSV stays identical.
-func TestDispatcherJobByteIdentical(t *testing.T) {
+// TestJobPathMatrix runs one job through every setup of the job path:
+// the standalone in-process worker, a coordinator with two remote workers
+// and a store, and a restarted coordinator over that store with no
+// workers. Every setup serves the same TSV bytes. The two that solve
+// dispatch one shard per class and record the same solver effort; the
+// store-served one dispatches nothing and records no fresh effort.
+func TestJobPathMatrix(t *testing.T) {
 	const job = `{"spec":{"workload":"web","scale":"small","nodes":6,"objects":8,
 		"requests":1500,"horizonMillis":14400000,"qos":[0.9,0.95]},
 		"classes":["general","storage-constrained","caching"]}`
-
-	_, standalone := newTestServer(t, Config{Workers: 1, Parallel: 1})
-	v, _ := postJob(t, standalone, job)
-	waitState(t, standalone, v.ID, time.Minute, StateDone)
-	want := getTSV(t, standalone, v.ID)
-
-	store, err := dist.NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	openStore := func(t *testing.T) *dist.Store {
+		store, err := dist.NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
 	}
-	co := dist.NewCoordinator(dist.CoordinatorConfig{Store: store, WorkerWait: 10 * time.Second})
-	co.Register(startDistWorker(t).URL)
-	co.Register(startDistWorker(t).URL)
-	_, coord := newTestServer(t, Config{Workers: 1, Parallel: 3, Dispatcher: co})
-	v, _ = postJob(t, coord, job)
-	waitState(t, coord, v.ID, time.Minute, StateDone)
-	if got := getTSV(t, coord, v.ID); got != want {
-		t.Fatalf("distributed TSV differs from standalone:\n--- standalone ---\n%s--- distributed ---\n%s", want, got)
+	setups := []struct {
+		name  string
+		co    func(t *testing.T) *dist.Coordinator
+		fresh bool
+	}{
+		{"in-process", func(*testing.T) *dist.Coordinator { return nil }, true},
+		{"remote workers", func(t *testing.T) *dist.Coordinator {
+			co := dist.NewCoordinator(dist.CoordinatorConfig{Store: openStore(t), WorkerWait: 10 * time.Second})
+			co.Register(startDistWorker(t).URL)
+			co.Register(startDistWorker(t).URL)
+			return co
+		}, true},
+		{"store only", func(t *testing.T) *dist.Coordinator {
+			return dist.NewCoordinator(dist.CoordinatorConfig{Store: openStore(t), WorkerWait: time.Second})
+		}, false},
 	}
-	text := getMetrics(t, coord)
-	if iters := metricValue(t, text, "placementd_lp_iterations_total"); iters == "0" {
-		t.Fatalf("fresh distributed job recorded no solver effort")
-	}
-	if metricValue(t, text, "placementd_dist_store_misses_total") == "0" {
-		t.Fatal("cold store recorded no misses")
-	}
-
-	// Lifetime two: a fresh server and coordinator over the same store
-	// directory, with NO workers registered — the job must complete
-	// purely from the persistent store.
-	store2, err := dist.NewStore(store.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	co2 := dist.NewCoordinator(dist.CoordinatorConfig{Store: store2, WorkerWait: time.Second})
-	_, restarted := newTestServer(t, Config{Workers: 1, Parallel: 3, Dispatcher: co2})
-	v, _ = postJob(t, restarted, job)
-	waitState(t, restarted, v.ID, time.Minute, StateDone)
-	if got := getTSV(t, restarted, v.ID); got != want {
-		t.Fatalf("store-served TSV differs from standalone")
-	}
-	text = getMetrics(t, restarted)
-	if iters := metricValue(t, text, "placementd_lp_iterations_total"); iters != "0" {
-		t.Fatalf("restarted coordinator recorded %s fresh iterations, want 0 (all columns from store)", iters)
-	}
-	if metricValue(t, text, "placementd_dist_store_hits_total") != "3" {
-		t.Fatalf("restarted coordinator store hits = %s, want 3",
-			metricValue(t, text, "placementd_dist_store_hits_total"))
-	}
-	if metricValue(t, text, "placementd_dist_shards_dispatched_total") != "0" {
-		t.Fatal("restarted coordinator dispatched shards despite a warm store")
+	var wantTSV, wantIters string
+	for _, setup := range setups {
+		_, ts := newTestServer(t, Config{Workers: 1, Parallel: 3, Coordinator: setup.co(t)})
+		v, _ := postJob(t, ts, job)
+		waitState(t, ts, v.ID, time.Minute, StateDone)
+		tsv := getTSV(t, ts, v.ID)
+		text := getMetrics(t, ts)
+		iters := metricValue(t, text, "placementd_lp_iterations_total")
+		dispatched := metricValue(t, text, "placementd_dist_shards_dispatched_total")
+		if wantTSV == "" {
+			wantTSV, wantIters = tsv, iters
+			if iters == "0" {
+				t.Fatalf("%s: a fresh job recorded no solver effort", setup.name)
+			}
+		} else if tsv != wantTSV {
+			t.Errorf("%s TSV differs from in-process:\n--- in-process ---\n%s--- %s ---\n%s", setup.name, wantTSV, setup.name, tsv)
+		}
+		wantDispatched := "3"
+		if !setup.fresh {
+			wantIters, wantDispatched = "0", "0"
+		}
+		if iters != wantIters || dispatched != wantDispatched {
+			t.Errorf("%s: %s iterations and %s shards dispatched, want %s and %s",
+				setup.name, iters, dispatched, wantIters, wantDispatched)
+		}
 	}
 }
 
-// gatedDispatcher holds every SolveColumn until open is closed, so a test
-// can subscribe to a job's stream before any column finishes.
-type gatedDispatcher struct {
-	Dispatcher
-	open chan struct{}
-}
-
-func (g gatedDispatcher) SolveColumn(ctx context.Context, shard dist.ShardJob) ([]experiments.Point, bool, error) {
-	select {
-	case <-g.open:
-	case <-ctx.Done():
-		return nil, false, context.Cause(ctx)
+// TestStandaloneTimeoutFailsAtOnce: an in-process column whose LP times
+// out fails its job after one dispatch. The worker answered, and solves
+// are deterministic, so the shard is never retried.
+func TestStandaloneTimeoutFailsAtOnce(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Parallel: 1, CheckEvery: 1})
+	v, _ := postJob(t, ts, `{"spec":{"workload":"web","scale":"small","nodes":10,"objects":30,
+		"requests":8000,"qos":[0.99]},"classes":["general"],"solveTimeoutMillis":1}`)
+	got := waitState(t, ts, v.ID, time.Minute, StateFailed)
+	if !strings.Contains(got.Error, "timeout") {
+		t.Fatalf("error = %q, want an LP timeout", got.Error)
 	}
-	return g.Dispatcher.SolveColumn(ctx, shard)
+	text := getMetrics(t, ts)
+	for name, want := range map[string]string{
+		"placementd_dist_shards_dispatched_total": "1",
+		"placementd_dist_shard_retries_total":     "0",
+		"placementd_dist_shard_failures_total":    "1",
+	} {
+		if got := metricValue(t, text, name); got != want {
+			t.Errorf("%s = %s, want %s", name, got, want)
+		}
+	}
 }
 
 // jobStream reads a job's NDJSON stream to completion, calling afterHeader
@@ -149,22 +152,31 @@ func jobStream(t *testing.T, ts *httptest.Server, id string, afterHeader func())
 	return lines
 }
 
-// TestJobStream covers the job NDJSON stream in both modes: a live job
-// streams a header, progress (and, with a dispatcher, per-column) events
-// and a done trailer; an already-finished job streams header + trailer
-// immediately. Columns are held until the stream's header has been read:
-// otherwise the job can finish before the stream subscribes, and the
-// stream then correctly carries only header + trailer.
+// TestJobStream covers the job NDJSON stream: a live job streams a
+// header, progress and per-column events and a done trailer; an
+// already-finished job streams header + trailer immediately. The worker
+// holds every shard until the stream's header has been read: otherwise
+// the job can finish before the stream subscribes, and the stream then
+// correctly carries only header + trailer.
 func TestJobStream(t *testing.T) {
+	open := make(chan struct{})
+	solve := dist.NewWorker(dist.WorkerConfig{Concurrency: 2}).Handler()
+	gated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-open:
+			solve.ServeHTTP(w, r)
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(gated.Close)
 	co := dist.NewCoordinator(dist.CoordinatorConfig{WorkerWait: 10 * time.Second})
-	co.Register(startDistWorker(t).URL)
-	gate := gatedDispatcher{Dispatcher: co, open: make(chan struct{})}
-	_, ts := newTestServer(t, Config{Workers: 1, Parallel: 1, Dispatcher: gate})
+	co.Register(gated.URL)
+	_, ts := newTestServer(t, Config{Workers: 1, Parallel: 1, Coordinator: co})
 
 	const job = `{"spec":{"workload":"web","scale":"small","nodes":5,"objects":5,
 		"requests":400,"horizonMillis":7200000,"qos":[0.9,0.95]},"classes":["general","caching"]}`
 	v, _ := postJob(t, ts, job)
-	lines := jobStream(t, ts, v.ID, func() { close(gate.open) })
+	lines := jobStream(t, ts, v.ID, func() { close(open) })
 	if len(lines) < 2 {
 		t.Fatalf("stream held %d lines, want header + trailer at least", len(lines))
 	}
@@ -187,7 +199,7 @@ func TestJobStream(t *testing.T) {
 		}
 	}
 	if columns == 0 {
-		t.Fatal("dispatcher-mode stream emitted no column events")
+		t.Fatal("stream emitted no column events")
 	}
 
 	// A finished job answers immediately with header + trailer.
@@ -206,11 +218,11 @@ func TestJobStream(t *testing.T) {
 	}
 }
 
-// TestDispatcherFailureFailsJob: when no worker ever appears the job
-// fails with the coordinator's error instead of hanging.
+// TestDispatcherFailureFailsJob: when no worker ever registers with the
+// coordinator the job fails with its error instead of hanging.
 func TestDispatcherFailureFailsJob(t *testing.T) {
 	co := dist.NewCoordinator(dist.CoordinatorConfig{WorkerWait: 300 * time.Millisecond})
-	_, ts := newTestServer(t, Config{Workers: 1, Parallel: 1, Dispatcher: co})
+	_, ts := newTestServer(t, Config{Workers: 1, Parallel: 1, Coordinator: co})
 	v, _ := postJob(t, ts, tinyJob)
 	deadline := time.Now().Add(30 * time.Second)
 	for {

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 )
 
@@ -64,24 +65,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	solves, total := s.lpStats.Snapshot()
 	s.metrics.write(w, s.gauges(), solves, total) //nolint:errcheck
-	// A dispatcher that exposes its own counters (the dist coordinator)
-	// appends them to the same exposition.
-	if mw, ok := s.cfg.Dispatcher.(MetricsWriter); ok {
-		mw.WriteMetrics(w)
-	}
+	s.cfg.Coordinator.WriteMetrics(w)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	// Unknown fields are rejected so a typoed option fails loudly
-	// instead of silently running the wrong question.
+// decodeJobRequest decodes a POST /jobs body. Unknown fields are rejected
+// so a typoed option fails loudly instead of silently running the wrong
+// question.
+func decodeJobRequest(r io.Reader) (*JobRequest, error) {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var req JobRequest
 	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
 		return
 	}
-	job, cached, err := s.Submit(&req)
+	job, cached, err := s.Submit(req)
 	switch {
 	case errors.Is(err, errBadRequest):
 		writeError(w, http.StatusBadRequest, err.Error())

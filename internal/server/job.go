@@ -93,40 +93,20 @@ type JobRequest struct {
 	SolveTimeoutMillis int64 `json:"solveTimeoutMillis,omitempty"`
 }
 
-// jobPlan is a validated, canonicalized request: everything a worker
-// needs to build and run the sweep, plus the content-address key.
+// jobPlan is a validated, canonicalized request: the system statement,
+// the class list and the per-solve cap, plus the content-address key. The
+// key hashes the plan's JSON encoding: field order is fixed and every
+// member marshals deterministically, so two requests asking the same
+// question hash identically regardless of their JSON spelling (field
+// order, omitted defaults, whitespace).
 type jobPlan struct {
-	// spec form (custom == false, scenario == nil)
-	spec experiments.Spec
-	// scenario form
-	scenario *scenario.Spec
-	// explicit form (custom == true)
-	custom bool
-	topo   *topology.Topology
-	trace  *workload.Trace
-	delta  time.Duration
-	tlat   float64
-	qos    []float64
+	dist.Statement
+	// Classes are the heuristic classes to bound; empty = Figure 1
+	// default set.
+	Classes      []string      `json:"classes,omitempty"`
+	SolveTimeout time.Duration `json:"solveTimeout,omitempty"`
 
-	classes      []string // empty = Figure 1 default set
-	solveTimeout time.Duration
-	key          string
-}
-
-// jobKey is the canonical form hashed into a job's content address. Field
-// order is fixed and every member marshals deterministically, so two
-// requests asking the same question hash identically regardless of their
-// JSON spelling (field order, omitted defaults, whitespace).
-type jobKey struct {
-	Spec         *experiments.Spec  `json:"spec,omitempty"`
-	Scenario     *scenario.Spec     `json:"scenario,omitempty"`
-	Topology     *topology.Topology `json:"topology,omitempty"`
-	Trace        *workload.Trace    `json:"trace,omitempty"`
-	Delta        time.Duration      `json:"delta,omitempty"`
-	Tlat         float64            `json:"tlat,omitempty"`
-	QoS          []float64          `json:"qos,omitempty"`
-	Classes      []string           `json:"classes,omitempty"`
-	SolveTimeout time.Duration      `json:"solveTimeout,omitempty"`
+	key string
 }
 
 // errBadRequest wraps validation failures so handlers map them to 400.
@@ -156,23 +136,24 @@ func compile(req *JobRequest) (*jobPlan, error) {
 		return nil, badRequestf("state a spec, a scenario or an explicit topology+trace")
 	}
 	p := &jobPlan{}
+	classes := req.Classes
 	switch {
 	case req.Spec != nil:
 		spec, err := compileSpec(req.Spec)
 		if err != nil {
 			return nil, err
 		}
-		p.spec = spec
+		p.Spec = &spec
 	case req.Scenario != nil:
 		if err := req.Scenario.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 		}
 		scn := *req.Scenario
-		p.scenario = &scn
+		p.Scenario = &scn
 		// The scenario's own class list is the job's default, so its
 		// result matches cmd/bounds -scenario on the same spec.
-		if len(req.Classes) == 0 {
-			req.Classes = scn.ClassNames()
+		if len(classes) == 0 {
+			classes = scn.ClassNames()
 		}
 	default:
 		if req.Topology == nil || req.Trace == nil {
@@ -194,19 +175,18 @@ func compile(req *JobRequest) (*jobPlan, error) {
 		if err := experiments.ValidateQoS(req.QoS); err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 		}
-		p.custom = true
-		p.topo = req.Topology
-		p.trace = req.Trace
-		p.delta = time.Duration(req.DeltaMillis) * time.Millisecond
-		p.tlat = tlat
-		p.qos = append([]float64(nil), req.QoS...)
+		p.Topology = req.Topology
+		p.Trace = req.Trace
+		p.DeltaMillis = req.DeltaMillis
+		p.Tlat = tlat
+		p.QoS = append([]float64(nil), req.QoS...)
 	}
 	known := make(map[string]bool)
 	for _, n := range core.ClassNames() {
 		known[n] = true
 	}
 	seen := make(map[string]bool)
-	for _, c := range req.Classes {
+	for _, c := range classes {
 		if !known[c] {
 			return nil, badRequestf("unknown class %q; available: %v", c, core.ClassNames())
 		}
@@ -215,16 +195,17 @@ func compile(req *JobRequest) (*jobPlan, error) {
 		}
 		seen[c] = true
 	}
-	p.classes = append([]string(nil), req.Classes...)
+	p.Classes = append([]string(nil), classes...)
 	if req.SolveTimeoutMillis < 0 {
 		return nil, badRequestf("solveTimeoutMillis must not be negative")
 	}
-	p.solveTimeout = time.Duration(req.SolveTimeoutMillis) * time.Millisecond
-	key, err := p.hash()
+	p.SolveTimeout = time.Duration(req.SolveTimeoutMillis) * time.Millisecond
+	raw, err := json.Marshal(p)
 	if err != nil {
 		return nil, fmt.Errorf("hash request: %w", err)
 	}
-	p.key = key
+	sum := sha256.Sum256(raw)
+	p.key = "sha256:" + hex.EncodeToString(sum[:])
 	return p, nil
 }
 
@@ -287,83 +268,14 @@ func compileSpec(sp *SpecRequest) (experiments.Spec, error) {
 	return spec, nil
 }
 
-// hash derives the content address of the plan.
-func (p *jobPlan) hash() (string, error) {
-	k := jobKey{
-		QoS:          p.qos,
-		Classes:      p.classes,
-		SolveTimeout: p.solveTimeout,
-	}
-	switch {
-	case p.custom:
-		k.Topology = p.topo
-		k.Trace = p.trace
-		k.Delta = p.delta
-		k.Tlat = p.tlat
-	case p.scenario != nil:
-		k.Scenario = p.scenario
-	default:
-		spec := p.spec
-		k.Spec = &spec
-	}
-	raw, err := json.Marshal(&k)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(raw)
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
-}
-
-// buildSystem materializes the plan's system (worker-side: generating a
-// preset trace or bucketing an explicit one is too heavy for submit).
-func (p *jobPlan) buildSystem() (*experiments.System, error) {
-	if p.custom {
-		return experiments.NewSystem(p.topo, p.trace, p.delta, p.tlat, p.qos)
-	}
-	if p.scenario != nil {
-		res, err := scenario.Compile(*p.scenario)
-		if err != nil {
-			return nil, err
-		}
-		return res.System, nil
-	}
-	return experiments.Build(p.spec)
-}
-
-// shard states one class column of this plan as a wire shard for the
-// distributed path, carrying the same system statement the plan itself
-// holds — the worker rebuilds the identical system deterministically.
-// timeout is the effective per-solve cap after server defaults.
-func (p *jobPlan) shard(class, fingerprint string, timeout time.Duration) dist.ShardJob {
-	sh := dist.ShardJob{
-		Class:              class,
-		Fingerprint:        fingerprint,
-		SolveTimeoutMillis: timeout.Milliseconds(),
-	}
-	switch {
-	case p.custom:
-		sh.Topology = p.topo
-		sh.Trace = p.trace
-		sh.DeltaMillis = p.delta.Milliseconds()
-		sh.Tlat = p.tlat
-		sh.QoS = p.qos
-	case p.scenario != nil:
-		sh.Scenario = p.scenario
-	default:
-		spec := p.spec
-		sh.Spec = &spec
-	}
-	return sh
-}
-
 // run executes the sweep. An empty class list runs the Figure 1 set, so
 // spec-form results are byte-identical to the cmd/bounds TSV.
 func (p *jobPlan) run(sys *experiments.System, opts experiments.Options) (*experiments.Figure, error) {
-	if len(p.classes) == 0 {
+	if len(p.Classes) == 0 {
 		return experiments.Figure1(sys, opts, nil)
 	}
-	classes := make([]*core.Class, len(p.classes))
-	for i, name := range p.classes {
+	classes := make([]*core.Class, len(p.Classes))
+	for i, name := range p.Classes {
 		c, err := core.ClassByName(sys.Topo, sys.Spec.Tlat, name)
 		if err != nil {
 			return nil, err
@@ -395,14 +307,14 @@ type Job struct {
 }
 
 // JobEvent is one NDJSON line of GET /jobs/{id}/stream: sweep progress,
-// a completed column (distributed mode), or nothing further — terminal
-// state travels in the stream's trailer, not as an event.
+// a completed column, or nothing further — terminal state travels in the
+// stream's trailer, not as an event.
 type JobEvent struct {
 	Type  string `json:"type"` // "progress" or "column"
 	Done  int    `json:"done,omitempty"`
 	Total int    `json:"total,omitempty"`
-	// Column events (dispatcher mode): the class whose column finished,
-	// its cell count, and whether it was served from the result store.
+	// Column events: the class whose column finished, its cell count, and
+	// whether it was served from the result store.
 	Class     string `json:"class,omitempty"`
 	Cells     int    `json:"cells,omitempty"`
 	FromStore bool   `json:"fromStore,omitempty"`

@@ -2,43 +2,25 @@
 // service where clients POST placement questions (topology + workload +
 // heuristic classes + QoS goals) and poll for the per-class lower bounds.
 // Jobs flow through a bounded queue into a worker pool that runs the
-// experiments sweep engine with per-job cancellation; identical questions
-// are deduplicated through a content-addressed result cache; a hand-rolled
-// Prometheus endpoint exposes queue, cache and solver-effort metrics.
+// experiments sweep engine with per-job cancellation, solving each class
+// column through a dist coordinator; identical questions are deduplicated
+// through a content-addressed result cache; a hand-rolled Prometheus
+// endpoint exposes queue, cache, dispatch and solver-effort metrics.
 // Built on net/http alone.
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
 	"wideplace/internal/dist"
 	"wideplace/internal/experiments"
 	"wideplace/internal/lp"
-	"wideplace/internal/scenario"
 )
-
-// Dispatcher solves one column shard outside this process — the
-// coordinator role of the distributed subsystem (internal/dist). When
-// configured, job sweeps delegate each class column to it instead of
-// solving locally; the bool reports a column served from the persistent
-// result store, which keeps the server's fresh-solver-effort metrics
-// honest across restarts. A nil Dispatcher is standalone mode, today's
-// single-process behavior, byte-identical.
-type Dispatcher interface {
-	SolveColumn(ctx context.Context, shard dist.ShardJob) (points []experiments.Point, fromStore bool, err error)
-}
-
-// MetricsWriter is implemented by dispatchers that carry their own
-// counters (the dist coordinator); /metrics appends their exposition
-// after the server's own.
-type MetricsWriter interface {
-	WriteMetrics(w io.Writer)
-}
 
 // Config sizes the service.
 type Config struct {
@@ -66,9 +48,10 @@ type Config struct {
 	// MaxJobs bounds retained finished jobs (default 1024); the oldest
 	// finished jobs (and their cached results) are evicted beyond it.
 	MaxJobs int
-	// Dispatcher, when non-nil, solves every job's class columns remotely
-	// (coordinator mode); see the Dispatcher interface.
-	Dispatcher Dispatcher
+	// Coordinator solves every job's class columns. Nil is standalone
+	// mode: a coordinator whose one worker runs in process with this
+	// config's SolveTimeout, CheckEvery and Presolve.
+	Coordinator *dist.Coordinator
 }
 
 func (c Config) withDefaults() Config {
@@ -80,6 +63,13 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
+	}
+	if c.Coordinator == nil {
+		c.Coordinator = dist.NewLocalCoordinator(dist.NewWorker(dist.WorkerConfig{
+			SolveTimeout: c.SolveTimeout,
+			CheckEvery:   c.CheckEvery,
+			Presolve:     c.Presolve,
+		}))
 	}
 	return c
 }
@@ -243,74 +233,56 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job's sweep and records the outcome.
+// runJob executes one job's sweep, solving each class column through the
+// coordinator, and records the outcome.
 func (s *Server) runJob(j *Job) {
 	if !j.setRunning(time.Now()) {
 		return // canceled while queued; Cancel already accounted for it
 	}
 	var (
-		fig *experiments.Figure
-		// Dispatcher mode tracks the effort of freshly solved columns
-		// only: store-served columns keep their original Stats for the
+		fig   *experiments.Figure
+		shard dist.ShardJob
+		// Only freshly solved columns count as this process's solver
+		// effort: store-served columns keep their original Stats for the
 		// TSV footer (byte-identity), but a restarted coordinator that
-		// answers a whole job from the store must add nothing to this
-		// process's lp_* counters.
-		freshMu    sync.Mutex
-		freshStats lp.Stats
-		freshCols  int
+		// answers a whole job from the store must add nothing to the
+		// lp_* counters.
+		fresh lp.StatsCollector
 	)
-	sys, err := j.plan.buildSystem()
+	sys, err := j.plan.Build()
+	if err == nil {
+		shard, err = dist.NewShard(j.plan.Statement, sys, cmp.Or(j.plan.SolveTimeout, s.cfg.SolveTimeout))
+	}
 	if err == nil {
 		opts := experiments.Options{
-			Parallel:     s.cfg.Parallel,
-			SolveTimeout: s.cfg.SolveTimeout,
-			Ctx:          j.ctx,
-			OnCell:       j.setProgress,
-		}
-		if j.plan.solveTimeout > 0 {
-			opts.SolveTimeout = j.plan.solveTimeout
-		}
-		opts.Bound.LP.CheckEvery = s.cfg.CheckEvery
-		opts.Bound.LP.Presolve = s.cfg.Presolve
-		if s.cfg.Dispatcher != nil {
-			var fp string
-			fp, err = scenario.Fingerprint(sys)
-			if err == nil {
-				timeout := opts.SolveTimeout
-				opts.ColumnSolver = func(ctx context.Context, class string, qos []float64) ([]experiments.Point, error) {
-					pts, fromStore, cerr := s.cfg.Dispatcher.SolveColumn(ctx, j.plan.shard(class, fp, timeout))
-					if cerr != nil {
-						return nil, cerr
-					}
-					if !fromStore {
-						var agg lp.Stats
-						for _, p := range pts {
-							agg.Add(p.Stats)
-						}
-						freshMu.Lock()
-						freshStats.Add(agg)
-						freshCols++
-						freshMu.Unlock()
-					}
-					j.publish(JobEvent{Type: "column", Class: class, Cells: len(pts), FromStore: fromStore})
-					return pts, nil
+			Parallel: s.cfg.Parallel,
+			Ctx:      j.ctx,
+			OnCell:   j.setProgress,
+			ColumnSolver: func(ctx context.Context, class string, _ []float64) ([]experiments.Point, error) {
+				col := shard
+				col.Class = class
+				pts, fromStore, err := s.cfg.Coordinator.SolveColumn(ctx, col)
+				if err != nil {
+					return nil, err
 				}
-			}
+				if !fromStore {
+					var agg lp.Stats
+					for _, p := range pts {
+						agg.Add(p.Stats)
+					}
+					fresh.Record(agg)
+				}
+				j.publish(JobEvent{Type: "column", Class: class, Cells: len(pts), FromStore: fromStore})
+				return pts, nil
+			},
 		}
-		if err == nil {
-			fig, err = j.plan.run(sys, opts)
-		}
+		fig, err = j.plan.run(sys, opts)
 	}
 	state := j.finish(fig, err, time.Now())
 	switch state {
 	case StateDone:
 		s.metrics.jobsDone.Add(1)
-		if s.cfg.Dispatcher != nil {
-			if freshCols > 0 {
-				s.lpStats.Record(freshStats)
-			}
-		} else {
-			_, agg := fig.SolverStats()
+		if cols, agg := fresh.Snapshot(); cols > 0 {
 			s.lpStats.Record(agg)
 		}
 	case StateFailed:

@@ -9,7 +9,6 @@ import (
 	"wideplace/internal/controller"
 	"wideplace/internal/core"
 	"wideplace/internal/scenario"
-	"wideplace/internal/workload"
 )
 
 // StreamRequest is the body of POST /controller/stream: a drift scenario
@@ -113,10 +112,7 @@ func (s *Server) handleControllerStream(w http.ResponseWriter, r *http.Request) 
 			return
 		}
 	}
-	intervals := counts.Intervals
-	if req.Intervals > 0 && req.Intervals < intervals {
-		intervals = req.Intervals
-	}
+	counts = counts.Truncate(req.Intervals)
 
 	cfg := controller.Config{
 		Topo:    sys.Topo,
@@ -135,68 +131,52 @@ func (s *Server) handleControllerStream(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(v interface{}) bool {
-		if err := enc.Encode(v); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	if !emit(streamHeader{
+	emit := ndjson(w)
+	if emit(streamHeader{
 		Scenario: req.Scenario.Name, Nodes: sys.Topo.N, Objects: counts.Objects,
-		Intervals: intervals, DeltaMs: counts.Delta.Milliseconds(),
+		Intervals: counts.Intervals, DeltaMs: counts.Delta.Milliseconds(),
 		TQoS: req.TQoS, Lookahead: !req.Reactive,
-	}) {
+	}) != nil {
 		return
 	}
 
-	// The loop mirrors controller.Replay, inlined so each step can be
-	// emitted (and flushed) the moment it is solved.
 	trailer := streamTrailer{}
-	planned := make([][]int, counts.Nodes)
-	for n := range planned {
-		planned[n] = make([]int, counts.Objects)
-	}
-	for i := 0; i < intervals; i++ {
-		if r.Context().Err() != nil {
-			return // client went away; the body is already committed
-		}
-		realized, err := counts.IntervalReads(i)
-		if err != nil {
-			emit(errorBody{Error: err.Error()})
-			return
-		}
-		if !req.Reactive {
-			planned = realized
-		}
-		st, err := ctl.Step(planned)
-		if err != nil {
-			emit(errorBody{Error: err.Error()})
-			return
-		}
-		if st.Staleness, err = workload.Staleness(planned, realized); err != nil {
-			emit(errorBody{Error: err.Error()})
-			return
-		}
+	err = ctl.Run(counts, !req.Reactive, func(st *controller.StepResult) error {
 		s.lpStats.Record(st.Stats)
 		trailer.Intervals++
 		trailer.TotalIterations += st.Iterations
 		trailer.TotalAdds += st.Adds
 		trailer.TotalDrops += st.Drops
 		trailer.WallNs += st.WallNs
-		if !emit(st) {
-			return
+		if err := emit(st); err != nil {
+			return err
 		}
-		planned = realized
+		return r.Context().Err() // the client went away: stop solving
+	})
+	if err != nil {
+		emit(errorBody{Error: err.Error()}) //nolint:errcheck // the stream ends here either way
+		return
 	}
 	trailer.Done = true
-	emit(trailer)
+	emit(trailer) //nolint:errcheck // the stream ends here either way
+}
+
+// ndjson commits an application/x-ndjson response and returns its line
+// writer, which flushes each line as soon as it is written.
+func ndjson(w http.ResponseWriter) func(v interface{}) error {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	return func(v interface{}) error {
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return nil
+	}
 }
 
 // jobStreamLine wraps a job view for the header and trailer lines of a
@@ -222,30 +202,18 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	events, unsubscribe := j.subscribe()
 	defer unsubscribe()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(v interface{}) bool {
-		if err := enc.Encode(v); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	if !emit(jobStreamLine{Type: "job", Job: j.View()}) {
+	emit := ndjson(w)
+	if emit(jobStreamLine{Type: "job", Job: j.View()}) != nil {
 		return
 	}
 	for {
 		select {
 		case ev, open := <-events:
 			if !open {
-				emit(jobStreamLine{Type: "job", Job: j.View()})
+				emit(jobStreamLine{Type: "job", Job: j.View()}) //nolint:errcheck // the stream ends here either way
 				return
 			}
-			if !emit(ev) {
+			if emit(ev) != nil {
 				return
 			}
 		case <-r.Context().Done():

@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"wideplace/internal/controller"
+	"wideplace/internal/core"
+	"wideplace/internal/scenario"
 )
 
 // driftScenario is a small drift workload: a diurnal trace bucketed into
@@ -17,13 +20,11 @@ const driftScenario = `{"scenario":{"name":"drift-tiny","seed":11,
 	"workload":{"model":"diurnal","objects":6,"requests":1200,"horizonMillis":21600000},
 	"deltaMillis":7200000,"qos":[0.9],"classes":["general"]}}`
 
-// TestControllerStream replays a drift scenario through the streaming
-// endpoint and checks the ndjson framing: one header, one StepResult per
-// interval (with intervals in order and warm re-solves past the first),
-// and a done trailer whose totals match the steps.
-func TestControllerStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	resp, err := http.Post(ts.URL+"/controller/stream", "application/json", strings.NewReader(driftScenario))
+// controllerStream posts a controller stream request and reads the whole
+// stream: its header, one step per line and the done trailer.
+func controllerStream(t *testing.T, ts *httptest.Server, body string) (streamHeader, []controller.StepResult, streamTrailer) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/controller/stream", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +42,6 @@ func TestControllerStream(t *testing.T) {
 	var hdr streamHeader
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 		t.Fatalf("header: %v", err)
-	}
-	if hdr.Scenario != "drift-tiny" || hdr.Nodes != 8 || hdr.Intervals < 2 {
-		t.Fatalf("unexpected header %+v", hdr)
 	}
 	var steps []controller.StepResult
 	var trailer streamTrailer
@@ -64,6 +62,19 @@ func TestControllerStream(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return hdr, steps, trailer
+}
+
+// TestControllerStream replays a drift scenario through the streaming
+// endpoint and checks the ndjson framing: one header, one StepResult per
+// interval (with intervals in order and warm re-solves past the first),
+// and a done trailer whose totals match the steps.
+func TestControllerStream(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	hdr, steps, trailer := controllerStream(t, ts, driftScenario)
+	if hdr.Scenario != "drift-tiny" || hdr.Nodes != 8 || hdr.Intervals < 2 {
+		t.Fatalf("unexpected header %+v", hdr)
+	}
 	if len(steps) != hdr.Intervals {
 		t.Fatalf("got %d steps, header promised %d", len(steps), hdr.Intervals)
 	}
@@ -79,6 +90,42 @@ func TestControllerStream(t *testing.T) {
 	}
 	if !trailer.Done || trailer.Intervals != len(steps) || trailer.TotalIterations != iters {
 		t.Errorf("trailer %+v does not match %d steps / %d iterations", trailer, len(steps), iters)
+	}
+}
+
+// TestControllerStreamMatchesReplay: a capped reactive stream emits
+// exactly the steps controller.Replay computes for the same scenario,
+// wall clock aside.
+func TestControllerStreamMatchesReplay(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body := strings.Replace(driftScenario, `{"scenario"`, `{"reactive":true,"intervals":2,"scenario"`, 1)
+	_, streamed, _ := controllerStream(t, ts, body)
+
+	var req StreamRequest
+	if err := json.Unmarshal([]byte(driftScenario), &req); err != nil {
+		t.Fatal(err)
+	}
+	res, err := scenario.Compile(*req.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := res.System
+	tr, err := controller.Replay(controller.Config{
+		Topo: sys.Topo, Cost: core.DefaultCost(), Goal: core.QoS(0.95, sys.Spec.Tlat),
+	}, sys.Counts.Truncate(2), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed) != len(tr.Steps) {
+		t.Fatalf("stream emitted %d steps, Replay took %d", len(streamed), len(tr.Steps))
+	}
+	for i := range streamed {
+		streamed[i].WallNs, tr.Steps[i].WallNs = 0, 0
+		got, _ := json.Marshal(&streamed[i])
+		want, _ := json.Marshal(tr.Steps[i])
+		if string(got) != string(want) {
+			t.Errorf("step %d:\nstream %s\nreplay %s", i, got, want)
+		}
 	}
 }
 

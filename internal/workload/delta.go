@@ -20,6 +20,24 @@ func (c *Counts) IntervalReads(i int) ([][]int, error) {
 	return out, nil
 }
 
+// Truncate limits the counts to their first n intervals; n <= 0 or
+// n >= Intervals keeps them all. The result shares the receiver's
+// per-interval slices.
+func (c *Counts) Truncate(n int) *Counts {
+	if n <= 0 || n >= c.Intervals {
+		return c
+	}
+	out := &Counts{
+		Reads: make([][][]int, c.Nodes), Writes: make([][][]int, c.Nodes),
+		Nodes: c.Nodes, Intervals: n, Objects: c.Objects, Delta: c.Delta,
+	}
+	for i := range out.Reads {
+		out.Reads[i] = c.Reads[i][:n]
+		out.Writes[i] = c.Writes[i][:n]
+	}
+	return out
+}
+
 // Staleness measures how far a plan computed from the planned demand matrix
 // lagged the realized one: the L1 distance between the two matrices
 // normalized by the realized total. Zero means the plan saw exactly the

@@ -3,6 +3,7 @@
 # over real HTTP:
 #   1. the checked-in 20-node example job runs to completion,
 #   2. two identical concurrent submissions cost one solve (cache hit),
+#      and standalone mode dispatches its columns to its in-process worker,
 #   3. DELETE aborts a running job mid-solve,
 #   4. served bounds are byte-identical to the serial cmd/bounds sweep,
 #   5. a scenario-spec job compiles server-side and its bounds match
@@ -89,9 +90,18 @@ if [ "$ID1" != "$ID2" ]; then
   exit 1
 fi
 wait_done "$ID1" 300
-curl -fs "$BASE/metrics" | grep -q '^placementd_cache_hits_total [1-9]' || {
+# The body is read whole before matching: under pipefail, `curl | grep -q`
+# fails whenever grep exits on its match before curl has written it all.
+METRICS=$(curl -fs "$BASE/metrics")
+grep -q '^placementd_cache_hits_total [1-9]' <<<"$METRICS" || {
   echo "metrics report no cache hit for the duplicate submission" >&2
-  curl -fs "$BASE/metrics" | grep placementd_cache >&2 || true
+  grep placementd_cache <<<"$METRICS" >&2 || true
+  exit 1
+}
+# Standalone solves every column through its in-process worker.
+grep -q '^placementd_dist_shards_dispatched_total [1-9]' <<<"$METRICS" || {
+  echo "standalone metrics report no dispatched shard" >&2
+  grep placementd_dist <<<"$METRICS" >&2 || true
   exit 1
 }
 
