@@ -15,30 +15,29 @@ import (
 	"wideplace/internal/core"
 	"wideplace/internal/experiments"
 	"wideplace/internal/heuristics"
+	"wideplace/internal/scenario"
 	"wideplace/internal/sim"
 	"wideplace/internal/topology"
 	"wideplace/internal/workload"
 )
 
-// benchSpec returns the CI-scale spec for a workload.
-func benchSpec(b *testing.B, kind experiments.WorkloadKind) experiments.Spec {
+// benchSystem compiles the CI-scale preset of a workload at the given QoS
+// points; the default two points keep a full bench run in minutes.
+func benchSystem(b *testing.B, kind experiments.WorkloadKind, qos ...float64) *experiments.System {
 	b.Helper()
-	spec, err := experiments.NewSpec(kind, experiments.ScaleSmall)
+	spec, err := scenario.Preset(string(kind), "small")
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Two QoS points keep a full bench run in minutes.
-	spec.QoSPoints = []float64{0.95, 0.99}
-	return spec
-}
-
-func benchSystem(b *testing.B, kind experiments.WorkloadKind) *experiments.System {
-	b.Helper()
-	sys, err := experiments.Build(benchSpec(b, kind))
+	spec.QoS = []float64{0.95, 0.99}
+	if len(qos) > 0 {
+		spec.QoS = qos
+	}
+	res, err := scenario.Compile(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sys
+	return res.System
 }
 
 func benchmarkFigure1(b *testing.B, kind experiments.WorkloadKind, parallel int) {
@@ -102,12 +101,7 @@ func BenchmarkFigure2WEB(b *testing.B) { benchmarkFigure2(b, experiments.WEB) }
 func BenchmarkFigure2GROUP(b *testing.B) { benchmarkFigure2(b, experiments.GROUP) }
 
 func benchmarkFigure3(b *testing.B, kind experiments.WorkloadKind) {
-	spec := benchSpec(b, kind)
-	spec.QoSPoints = []float64{0.85, 0.9}
-	sys, err := experiments.Build(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sys := benchSystem(b, kind, 0.85, 0.9)
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Figure3(sys, experiments.Options{}, nil)
 		if err != nil {
@@ -262,18 +256,14 @@ func BenchmarkLagrangianVsExact(b *testing.B) {
 // the general bound as the interval shrinks. Finer intervals lower the
 // storage component of the bound, while Theorem 2 governs validity.
 func BenchmarkIntervalSweep(b *testing.B) {
-	spec := benchSpec(b, experiments.WEB)
-	sys, err := experiments.Build(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sys := benchSystem(b, experiments.WEB)
 	for _, delta := range []time.Duration{2 * time.Hour, time.Hour, 30 * time.Minute} {
 		b.Run(delta.String(), func(b *testing.B) {
 			counts, err := sys.Trace.Bucket(delta)
 			if err != nil {
 				b.Fatal(err)
 			}
-			inst, err := core.NewInstance(sys.Topo, counts, core.DefaultCost(), core.QoS(0.95, spec.Tlat))
+			inst, err := core.NewInstance(sys.Topo, counts, core.DefaultCost(), core.QoS(0.95, sys.Spec.Tlat))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -16,13 +16,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	"wideplace/internal/cli"
-	"wideplace/internal/core"
 	"wideplace/internal/experiments"
 	"wideplace/internal/topology"
 )
@@ -39,8 +37,8 @@ func run() error {
 		workloadFlag = flag.String("workload", "web", "workload: web or group")
 		scaleFlag    = flag.String("scale", "small", "experiment scale: small, medium or large")
 		scenarioFlag = flag.String("scenario", "", "registered scenario name or spec file (overrides -workload/-scale)")
-		requestsFlag = flag.Int("requests", 0, "override the scenario's request volume (0 = keep the spec's)")
-		qosFlag      = flag.String("qos", "", "comma-separated QoS points (fractions), overriding the preset")
+		requestsFlag = flag.Int("requests", 0, "override the request volume (0 = keep the spec's or preset's)")
+		qosFlag      = flag.String("qos", "", "comma-separated QoS points (fractions), overriding the spec's or preset's")
 		classesFlag  = flag.Bool("classes", false, "print the heuristic-class taxonomy (Table 3) and exit")
 		skipRound    = flag.Bool("skip-rounding", false, "compute LP bounds only (no tightness certificate)")
 		parallel     = flag.Int("parallel", 0, "concurrent bound solves (0 = GOMAXPROCS, 1 = serial)")
@@ -62,36 +60,19 @@ func run() error {
 		return experiments.WriteTable3(os.Stdout, experiments.Table3(topo, 150))
 	}
 
-	var (
-		sys        *experiments.System
-		scnClasses []*core.Class
-		err        error
-	)
-	if *scenarioFlag != "" {
-		var qos []float64
-		if *qosFlag != "" {
-			if qos, err = parseQoS(*qosFlag); err != nil {
-				return err
-			}
-		}
-		res, err := cli.ResolveScenario(*scenarioFlag, "bounds", cli.ScenarioOptions{QoS: qos, Requests: *requestsFlag}, os.Stderr)
-		if err != nil {
+	scn, err := cli.LoadScenario(*scenarioFlag, *workloadFlag, *scaleFlag)
+	if err != nil {
+		return err
+	}
+	var qos []float64
+	if *qosFlag != "" {
+		if qos, err = parseQoS(*qosFlag); err != nil {
 			return err
 		}
-		sys, scnClasses = res.System, res.Classes
-	} else {
-		spec, err := experiments.NewSpec(experiments.WorkloadKind(*workloadFlag), experiments.Scale(*scaleFlag))
-		if err != nil {
-			return err
-		}
-		if *qosFlag != "" {
-			if spec.QoSPoints, err = parseQoS(*qosFlag); err != nil {
-				return err
-			}
-		}
-		if sys, err = experiments.Build(spec); err != nil {
-			return err
-		}
+	}
+	res, err := cli.ResolveScenario(scn, "bounds", cli.ScenarioOptions{QoS: qos, Requests: *requestsFlag}, os.Stderr)
+	if err != nil {
+		return err
 	}
 	progress := cli.Progress(*verbose, os.Stderr)
 	ctx, stop := cli.SignalContext(context.Background())
@@ -104,12 +85,12 @@ func run() error {
 	opts.Bound.SkipRounding = *skipRound
 	opts.Bound.LP.Presolve = lpFlags.Presolve()
 	var fig *experiments.Figure
-	if scnClasses != nil {
+	if *scenarioFlag != "" {
 		// Empty title = the Sweep default, which is also what placementd
 		// uses for scenario jobs, so the two TSVs stay byte-identical.
-		fig, err = experiments.Sweep(sys, scnClasses, "", opts, progress)
+		fig, err = experiments.Sweep(res.System, res.Classes, "", opts, progress)
 	} else {
-		fig, err = experiments.Figure1(sys, opts, progress)
+		fig, err = experiments.Figure1(res.System, opts, progress)
 	}
 	if err != nil {
 		return err
@@ -117,31 +98,17 @@ func run() error {
 	return fig.WriteTSV(os.Stdout)
 }
 
-// parseQoS parses a comma-separated list of QoS fractions, rejecting
-// non-numbers, NaN/Inf, values outside (0, 1] and duplicates before they
-// reach the sweep.
+// parseQoS parses a comma-separated list of QoS fractions and rejects
+// lists the sweep cannot consume (experiments.ValidateQoS) before they
+// reach it.
 func parseQoS(s string) ([]float64, error) {
 	var out []float64
-	seen := make(map[float64]bool)
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad QoS point %q: %w", part, err)
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("QoS point %q is not a finite number", part)
-		}
-		if v <= 0 || v > 1 {
-			return nil, fmt.Errorf("QoS point %g outside (0, 1]", v)
-		}
-		if seen[v] {
-			return nil, fmt.Errorf("duplicate QoS point %g", v)
-		}
-		seen[v] = true
 		out = append(out, v)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no QoS points in %q", s)
-	}
-	return out, nil
+	return out, experiments.ValidateQoS(out)
 }

@@ -27,6 +27,7 @@ import (
 	"wideplace/internal/controller"
 	"wideplace/internal/core"
 	"wideplace/internal/heuristics"
+	"wideplace/internal/scenario"
 	"wideplace/internal/sim"
 	"wideplace/internal/topology"
 	"wideplace/internal/workload"
@@ -64,7 +65,11 @@ func run(args []string, stdout io.Writer) error {
 	case *cacheFlag < 0:
 		return fmt.Errorf("-cache %d is negative", *cacheFlag)
 	}
-	res, err := cli.ResolveScenario(*scenarioFlag, "controller", cli.ScenarioOptions{}, os.Stderr)
+	scn, err := scenario.Load(*scenarioFlag)
+	if err != nil {
+		return err
+	}
+	res, err := cli.ResolveScenario(scn, "controller", cli.ScenarioOptions{}, os.Stderr)
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,7 @@ func run(args []string, stdout io.Writer) error {
 		workloadFlag = fs.String("workload", "web", "workload: web or group")
 		scaleFlag    = fs.String("scale", "small", "experiment scale: small, medium or large")
 		scenarioFlag = fs.String("scenario", "", "registered scenario name or spec file (overrides -workload/-scale)")
-		zetaFlag     = fs.Float64("zeta", 0, "node-opening cost (0 = scale preset)")
+		zetaFlag     = fs.Float64("zeta", 0, "node-opening cost (0 = the spec's or preset's)")
 		parallel     = fs.Int("parallel", 0, "concurrent bound solves in phase 2 (0 = GOMAXPROCS, 1 = serial)")
 		solveTimeout = fs.Duration("solve-timeout", 0, "wall-clock cap per LP solve (0 = unlimited)")
 		verbose      = fs.Bool("v", false, "print per-bound progress (incl. solver stats) to stderr")
@@ -38,22 +38,15 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var sys *experiments.System
-	if *scenarioFlag != "" {
-		res, err := cli.ResolveScenario(*scenarioFlag, "deploy", cli.ScenarioOptions{}, os.Stderr)
-		if err != nil {
-			return err
-		}
-		sys = res.System
-	} else {
-		spec, err := experiments.NewSpec(experiments.WorkloadKind(*workloadFlag), experiments.Scale(*scaleFlag))
-		if err != nil {
-			return err
-		}
-		if sys, err = experiments.Build(spec); err != nil {
-			return err
-		}
+	scn, err := cli.LoadScenario(*scenarioFlag, *workloadFlag, *scaleFlag)
+	if err != nil {
+		return err
 	}
+	compiled, err := cli.ResolveScenario(scn, "deploy", cli.ScenarioOptions{}, os.Stderr)
+	if err != nil {
+		return err
+	}
+	sys := compiled.System
 	if *zetaFlag > 0 {
 		sys.Spec.Zeta = *zetaFlag
 	}

@@ -61,7 +61,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	var lpOpts lp.Options
 	lpOpts.Presolve = lpFlags.Presolve()
-	res, err := cli.ResolveScenario(*scenarioFlag, "exact", cli.ScenarioOptions{Nodes: *nodesFlag}, stderr)
+	scn, err := scenario.Load(*scenarioFlag)
+	if err != nil {
+		return err
+	}
+	res, err := cli.ResolveScenario(scn, "exact", cli.ScenarioOptions{Nodes: *nodesFlag}, stderr)
 	if err != nil {
 		return err
 	}

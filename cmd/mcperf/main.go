@@ -17,8 +17,7 @@ import (
 
 	"wideplace/internal/cli"
 	"wideplace/internal/core"
-	"wideplace/internal/topology"
-	"wideplace/internal/workload"
+	"wideplace/internal/scenario"
 )
 
 func main() {
@@ -52,61 +51,49 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var (
-		topo   *topology.Topology
-		trace  *workload.Trace
-		counts *workload.Counts
-		err    error
-	)
-	kindLabel := *workloadFlag
+	// A spec states them in whole milliseconds, and zero means its default.
+	if *tlat <= 0 || *delta <= 0 || *delta%time.Millisecond != 0 {
+		return fmt.Errorf("-tlat must be positive and -delta a positive whole number of milliseconds")
+	}
+	// The generator flags state a scenario whose one class, general,
+	// always attains the goal, so the compile self-check cannot reject
+	// what -class and -tqos/-avg go on to ask.
+	scn := scenario.Spec{
+		Name:     "mcperf",
+		Seed:     *seed,
+		Topology: scenario.TopologySpec{Model: scenario.TopoRandomAS, Nodes: *nodes},
+		Workload: scenario.WorkloadSpec{
+			Model: *workloadFlag, Objects: *objects, Requests: *requests,
+			HorizonMillis: horizon.Milliseconds(), ZipfS: *zipfS,
+		},
+		TlatMillis:  *tlat,
+		DeltaMillis: delta.Milliseconds(),
+		QoS:         []float64{*tqos},
+		Classes:     []string{"general"},
+	}
 	if *scenarioFlag != "" {
-		res, err := cli.ResolveScenario(*scenarioFlag, "mcperf", cli.ScenarioOptions{}, os.Stderr)
-		if err != nil {
-			return err
-		}
-		// The compile already bucketed at the scenario's interval; reuse
-		// its counts so streamed (trace-less) scenarios work too.
-		topo, counts = res.System.Topo, res.System.Counts
-		// The scenario's own threshold and interval define the instance;
-		// the goal level still comes from -tqos/-avg.
-		*tlat = res.Spec.Tlat()
-		*delta = res.Spec.Delta()
-		kindLabel = res.Spec.Workload.Model
-	} else {
-		if topo, err = topology.Generate(topology.GenOptions{N: *nodes, Seed: *seed}); err != nil {
-			return err
-		}
-		switch *workloadFlag {
-		case "web":
-			trace, err = workload.GenerateWeb(workload.WebOptions{
-				Nodes: *nodes, Objects: *objects, Requests: *requests, Duration: *horizon, Seed: *seed,
-				ZipfS: *zipfS,
-			})
-		case "group":
-			trace, err = workload.GenerateGroup(workload.GroupOptions{
-				Nodes: *nodes, Objects: *objects, Requests: *requests, Duration: *horizon, Seed: *seed,
-			})
-		default:
-			return fmt.Errorf("unknown workload %q", *workloadFlag)
-		}
-		if err != nil {
+		var err error
+		if scn, err = scenario.Load(*scenarioFlag); err != nil {
 			return err
 		}
 	}
-	if counts == nil {
-		if counts, err = trace.Bucket(*delta); err != nil {
-			return err
-		}
+	res, err := cli.ResolveScenario(scn, "mcperf", cli.ScenarioOptions{}, os.Stderr)
+	if err != nil {
+		return err
 	}
+	// The compiled spec's threshold and interval define the instance; the
+	// goal level still comes from -tqos/-avg.
+	sys := res.System
+	*tlat, *delta = res.Spec.Tlat(), res.Spec.Delta()
 	goal := core.QoS(*tqos, *tlat)
 	if *avg > 0 {
 		goal = core.AvgLatency(*avg)
 	}
-	inst, err := core.NewInstance(topo, counts, core.DefaultCost(), goal)
+	inst, err := core.NewInstance(sys.Topo, sys.Counts, core.DefaultCost(), goal)
 	if err != nil {
 		return err
 	}
-	class, err := core.ClassByName(topo, *tlat, *classFlag)
+	class, err := core.ClassByName(sys.Topo, *tlat, *classFlag)
 	if err != nil {
 		return err
 	}
@@ -123,7 +110,7 @@ func run(args []string, stdout io.Writer) error {
 	elapsed := time.Since(start)
 
 	fmt.Fprintf(stdout, "instance:   %s workload, %d nodes, %d objects, %d requests, %d intervals of %v\n",
-		kindLabel, topo.N, trace.NumObjects, len(trace.Accesses), counts.Intervals, *delta)
+		sys.Spec.Workload, sys.Spec.Nodes, sys.Spec.Objects, sys.Spec.Requests, sys.Counts.Intervals, *delta)
 	if goal.Kind == core.QoSGoal {
 		fmt.Fprintf(stdout, "goal:       %.5g%% of each user's reads within %.0f ms\n", *tqos*100, *tlat)
 	} else {

@@ -37,22 +37,15 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var sys *experiments.System
-	if *scenarioFlag != "" {
-		res, err := cli.ResolveScenario(*scenarioFlag, "simulate", cli.ScenarioOptions{}, os.Stderr)
-		if err != nil {
-			return err
-		}
-		sys = res.System
-	} else {
-		spec, err := experiments.NewSpec(experiments.WorkloadKind(*workloadFlag), experiments.Scale(*scaleFlag))
-		if err != nil {
-			return err
-		}
-		if sys, err = experiments.Build(spec); err != nil {
-			return err
-		}
+	scn, err := cli.LoadScenario(*scenarioFlag, *workloadFlag, *scaleFlag)
+	if err != nil {
+		return err
 	}
+	compiled, err := cli.ResolveScenario(scn, "simulate", cli.ScenarioOptions{}, os.Stderr)
+	if err != nil {
+		return err
+	}
+	sys := compiled.System
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
 	opts := experiments.Options{

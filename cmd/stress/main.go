@@ -97,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	type laddered struct {
-		ref      string // name-or-file reference for per-rung re-resolution
 		spec     scenario.Spec
 		maxSites int // 0 = no cap
 	}
@@ -116,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		specs = append(specs, laddered{ref: ref, spec: spec, maxSites: maxSites})
+		specs = append(specs, laddered{spec: spec, maxSites: maxSites})
 	}
 	if len(specs) == 0 {
 		return fmt.Errorf("no scenarios selected")
@@ -148,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				continue
 			}
 			start := time.Now()
-			res, err := cli.ResolveScenario(lad.ref, "stress", cli.ScenarioOptions{Nodes: n, Requests: *reqFlag, Streaming: streaming}, stderr)
+			res, err := cli.ResolveScenario(base, "stress", cli.ScenarioOptions{Nodes: n, Requests: *reqFlag, Streaming: streaming}, stderr)
 			if err != nil {
 				return fmt.Errorf("%s at %d nodes: %w", base.Name, n, err)
 			}

@@ -12,7 +12,7 @@ import (
 	"log"
 
 	"wideplace/internal/core"
-	"wideplace/internal/experiments"
+	"wideplace/internal/scenario"
 )
 
 func main() {
@@ -22,15 +22,16 @@ func main() {
 }
 
 func run() error {
-	spec, err := experiments.NewSpec(experiments.WEB, experiments.ScaleSmall)
+	scn, err := scenario.Preset(scenario.WorkWeb, "small")
 	if err != nil {
 		return err
 	}
-	spec.QoSPoints = []float64{0.85}
-	sys, err := experiments.Build(spec)
+	scn.QoS = []float64{0.85}
+	res, err := scenario.Compile(scn)
 	if err != nil {
 		return err
 	}
+	sys, spec := res.System, res.System.Spec
 	tqos := spec.QoSPoints[0]
 
 	// Phase 1: where should servers go? The opening cost zeta makes every

@@ -17,6 +17,7 @@ import (
 	"wideplace/internal/core"
 	"wideplace/internal/experiments"
 	"wideplace/internal/heuristics"
+	"wideplace/internal/scenario"
 	"wideplace/internal/sim"
 )
 
@@ -29,15 +30,16 @@ func main() {
 }
 
 func run(kind string) error {
-	spec, err := experiments.NewSpec(experiments.WorkloadKind(kind), experiments.ScaleSmall)
+	scn, err := scenario.Preset(kind, "small")
 	if err != nil {
 		return err
 	}
-	spec.QoSPoints = []float64{0.90}
-	sys, err := experiments.Build(spec)
+	scn.QoS = []float64{0.90}
+	res, err := scenario.Compile(scn)
 	if err != nil {
 		return err
 	}
+	sys, spec := res.System, res.System.Spec
 	tqos := spec.QoSPoints[0]
 	inst, err := sys.Instance(tqos)
 	if err != nil {

@@ -35,30 +35,30 @@ type ScenarioOptions struct {
 	Streaming scenario.StreamingMode
 }
 
-// ResolveScenario loads a scenario by reference (builtin name or spec
-// file), applies the overrides and compiles it. Every binary resolves
-// scenarios through here so the behavior — and the warning wording,
-// "<tool>: scenario <name>: <warning>" — stays identical across tools.
-// Warnings go to warnw; pass nil to discard them.
-func ResolveScenario(ref, tool string, opts ScenarioOptions, warnw io.Writer) (*scenario.Result, error) {
-	scn, err := scenario.Load(ref)
-	if err != nil {
-		return nil, err
+// LoadScenario resolves the system flags of the bound-computing binaries
+// to a scenario spec: the -scenario reference (a registered name or a spec
+// file) when set, else the -workload/-scale paper preset.
+func LoadScenario(ref, kind, scale string) (scenario.Spec, error) {
+	if ref != "" {
+		return scenario.Load(ref)
 	}
+	return scenario.Preset(kind, scale)
+}
+
+// ResolveScenario applies the overrides to a loaded scenario spec and
+// compiles it. Every binary compiles its system through here so the
+// behavior — and the warning wording, "<tool>: scenario <name>:
+// <warning>" — stays identical across tools. Warnings go to warnw; pass
+// nil to discard them.
+func ResolveScenario(scn scenario.Spec, tool string, opts ScenarioOptions, warnw io.Writer) (*scenario.Result, error) {
 	if opts.QoS != nil {
 		scn.QoS = opts.QoS
 	}
 	if opts.Nodes > 0 {
 		scn = scn.WithNodes(opts.Nodes)
 	}
-	if opts.Requests < 0 {
-		return nil, fmt.Errorf("request volume override must be positive, got %d", opts.Requests)
-	}
-	if opts.Requests > 0 {
-		scn.Workload.Requests = opts.Requests
-		if err := scn.Validate(); err != nil {
-			return nil, err
-		}
+	if opts.Requests != 0 {
+		scn.Workload.Requests = opts.Requests // the compile rejects negatives
 	}
 	res, err := scenario.CompileWith(scn, scenario.CompileOptions{Streaming: opts.Streaming})
 	if err != nil {

@@ -33,10 +33,14 @@ func TestSignalContextStopRestores(t *testing.T) {
 }
 
 func TestResolveScenarioRequestsOverride(t *testing.T) {
-	if _, err := ResolveScenario("flash-crowd", "test", ScenarioOptions{Requests: -5}, nil); err == nil {
+	scn, err := LoadScenario("flash-crowd", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResolveScenario(scn, "test", ScenarioOptions{Requests: -5}, nil); err == nil {
 		t.Fatal("negative request volume accepted")
 	}
-	res, err := ResolveScenario("flash-crowd", "test", ScenarioOptions{Requests: 500}, nil)
+	res, err := ResolveScenario(scn, "test", ScenarioOptions{Requests: 500}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,28 +16,34 @@ import (
 	"wideplace/internal/workload"
 )
 
-func tinySpec() experiments.Spec {
-	return experiments.Spec{
-		Workload:  experiments.WEB,
-		Nodes:     6,
-		Objects:   10,
-		Requests:  2500,
-		Horizon:   8 * time.Hour,
-		Delta:     time.Hour,
-		Seed:      3,
-		Tlat:      150,
-		QoSPoints: []float64{0.8, 0.9},
-		Zeta:      100,
+// tinySpec is a system small enough for CI that still exercises every
+// Figure 1 column.
+func tinySpec() scenario.Spec {
+	return scenario.Spec{
+		Name:     "tiny",
+		Seed:     3,
+		Topology: scenario.TopologySpec{Model: scenario.TopoRandomAS, Nodes: 6},
+		Workload: scenario.WorkloadSpec{
+			Model: scenario.WorkWeb, Objects: 10, Requests: 2500,
+			HorizonMillis: (8 * time.Hour).Milliseconds(),
+		},
+		QoS:  []float64{0.8, 0.9},
+		Zeta: 100,
 	}
+}
+
+func tinySystem(t *testing.T) *experiments.System {
+	t.Helper()
+	res, err := scenario.Compile(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.System
 }
 
 func tinyFingerprint(t *testing.T) string {
 	t.Helper()
-	sys, err := experiments.Build(tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := scenario.Fingerprint(sys)
+	fp, err := scenario.Fingerprint(tinySystem(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +63,8 @@ func startWorker(t *testing.T) *httptest.Server {
 // never building one.
 func TestWorkerSolvesShard(t *testing.T) {
 	spec := tinySpec()
-	sys, err := experiments.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard, err := NewShard(Statement{Spec: &spec}, sys, 0)
+	sys := tinySystem(t)
+	shard, err := NewShard(Statement{Scenario: &spec}, sys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,7 @@ func TestWorkerRejectsFingerprintDrift(t *testing.T) {
 	co := NewCoordinator(CoordinatorConfig{WorkerWait: 2 * time.Second})
 	co.Register(worker.URL)
 	_, _, err := co.SolveColumn(context.Background(),
-		ShardJob{Statement: Statement{Spec: &spec}, Class: "general", Fingerprint: "sha256:not-the-system"})
+		ShardJob{Statement: Statement{Scenario: &spec}, Class: "general", Fingerprint: "sha256:not-the-system"})
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("err = %v, want a fingerprint mismatch", err)
 	}
@@ -131,7 +134,7 @@ func TestCoordinatorRetriesCutOffReply(t *testing.T) {
 	co := NewCoordinator(CoordinatorConfig{WorkerWait: 300 * time.Millisecond})
 	co.Register(cut.URL)
 	_, _, err := co.SolveColumn(context.Background(),
-		ShardJob{Statement: Statement{Spec: &spec}, Class: "general", Fingerprint: "sha256:x"})
+		ShardJob{Statement: Statement{Scenario: &spec}, Class: "general", Fingerprint: "sha256:x"})
 	if err == nil || !strings.Contains(err.Error(), "transport failure") {
 		t.Fatalf("err = %v, want a transport failure", err)
 	}
@@ -143,7 +146,6 @@ func TestCoordinatorRetriesCutOffReply(t *testing.T) {
 // TestShardWireFormat pins one encoded shard per system form: the JSON a
 // coordinator sends and a worker decodes must not drift.
 func TestShardWireFormat(t *testing.T) {
-	spec := tinySpec()
 	var (
 		scn   scenario.Spec
 		topo  topology.Topology
@@ -162,8 +164,6 @@ func TestShardWireFormat(t *testing.T) {
 		shard ShardJob
 		wire  string
 	}{
-		{ShardJob{Statement: Statement{Spec: &spec}, Class: "general", Fingerprint: "sha256:f", SolveTimeoutMillis: 250},
-			`{"spec":{"Workload":"web","Nodes":6,"Objects":10,"Requests":2500,"Horizon":28800000000000,"Delta":3600000000000,"Seed":3,"Tlat":150,"QoSPoints":[0.8,0.9],"Zeta":100,"ZipfS":0},"class":"general","fingerprint":"sha256:f","solveTimeoutMillis":250}`},
 		{ShardJob{Statement: Statement{Scenario: &scn}, Class: "caching", Fingerprint: "sha256:f"},
 			`{"scenario":{"name":"wire","seed":3,"topology":{"model":"transit-stub","nodes":6},"workload":{"model":"web","objects":4,"requests":100,"horizonMillis":7200000},"qos":[0.9]},"class":"caching","fingerprint":"sha256:f"}`},
 		{ShardJob{Statement: Statement{Topology: &topo, Trace: &trace, DeltaMillis: 3600000, Tlat: 150, QoS: []float64{0.9, 0.95}}, Class: "storage-constrained", Fingerprint: "sha256:f"},
@@ -196,10 +196,7 @@ func TestShardWireFormat(t *testing.T) {
 // dispatches even with no worker alive.
 func TestCoordinatorByteIdenticalFigure(t *testing.T) {
 	spec := tinySpec()
-	sys, err := experiments.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := tinySystem(t)
 	fp, err := scenario.Fingerprint(sys)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +215,7 @@ func TestCoordinatorByteIdenticalFigure(t *testing.T) {
 		opts := experiments.Options{
 			Parallel: 3,
 			ColumnSolver: func(ctx context.Context, class string, qos []float64) ([]experiments.Point, error) {
-				pts, _, err := co.SolveColumn(ctx, ShardJob{Statement: Statement{Spec: &spec}, Class: class, Fingerprint: fp})
+				pts, _, err := co.SolveColumn(ctx, ShardJob{Statement: Statement{Scenario: &spec}, Class: class, Fingerprint: fp})
 				return pts, err
 			},
 		}
@@ -281,7 +278,7 @@ func TestCoordinatorRetriesOnAnotherWorker(t *testing.T) {
 	// the dead worker at least once.
 	for _, class := range []string{"general", "storage-constrained", "caching"} {
 		if _, _, err := co.SolveColumn(context.Background(),
-			ShardJob{Statement: Statement{Spec: &spec}, Class: class, Fingerprint: fp}); err != nil {
+			ShardJob{Statement: Statement{Scenario: &spec}, Class: class, Fingerprint: fp}); err != nil {
 			t.Fatalf("%s: %v", class, err)
 		}
 	}
@@ -302,7 +299,7 @@ func TestCoordinatorNoWorkers(t *testing.T) {
 	spec := tinySpec()
 	co := NewCoordinator(CoordinatorConfig{WorkerWait: 300 * time.Millisecond})
 	_, _, err := co.SolveColumn(context.Background(),
-		ShardJob{Statement: Statement{Spec: &spec}, Class: "general", Fingerprint: "sha256:x"})
+		ShardJob{Statement: Statement{Scenario: &spec}, Class: "general", Fingerprint: "sha256:x"})
 	if err == nil || !strings.Contains(err.Error(), "no live worker") {
 		t.Fatalf("err = %v, want a no-live-worker failure", err)
 	}

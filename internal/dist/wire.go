@@ -27,14 +27,12 @@ import (
 	"wideplace/internal/workload"
 )
 
-// Statement states a system in exactly one of the three forms the job API
-// accepts: a preset spec, a declarative scenario, or an explicit topology
-// + trace with its interval, latency threshold and QoS grid. Building is
-// deterministic, so the statement is all a remote worker needs to
-// materialize the system the coordinator built.
+// Statement states a system in exactly one of two forms: a declarative
+// scenario (the job API's preset bodies arrive here as scenarios too), or
+// an explicit topology + trace with its interval, latency threshold and
+// QoS grid. Building is deterministic, so the statement is all a remote
+// worker needs to materialize the system the coordinator built.
 type Statement struct {
-	// Spec selects a generated preset system.
-	Spec *experiments.Spec `json:"spec,omitempty"`
 	// Scenario states the system declaratively.
 	Scenario *scenario.Spec `json:"scenario,omitempty"`
 	// Topology/Trace/DeltaMillis/Tlat/QoS state an explicit system.
@@ -50,8 +48,6 @@ type Statement struct {
 // form is an internal error, not user input.
 func (st *Statement) Build() (*experiments.System, error) {
 	switch {
-	case st.Spec != nil:
-		return experiments.Build(*st.Spec)
 	case st.Scenario != nil:
 		res, err := scenario.Compile(*st.Scenario)
 		if err != nil {
@@ -62,7 +58,7 @@ func (st *Statement) Build() (*experiments.System, error) {
 		return experiments.NewSystem(st.Topology, st.Trace,
 			time.Duration(st.DeltaMillis)*time.Millisecond, st.Tlat, st.QoS)
 	default:
-		return nil, fmt.Errorf("dist: statement names no system (want spec, scenario or topology+trace)")
+		return nil, fmt.Errorf("dist: statement names no system (want scenario or topology+trace)")
 	}
 }
 

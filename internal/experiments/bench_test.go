@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"testing"
+	"time"
 
 	"wideplace/internal/core"
 )
@@ -11,16 +12,11 @@ import (
 // dominates setup) with a five-point QoS ladder, so each column is long
 // enough for basis reuse to pay for itself.
 func benchLadderSpec(tb testing.TB) *System {
-	spec, err := NewSpec(WEB, ScaleSmall)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	spec.Nodes = 8
-	spec.Objects = 10
-	spec.Requests = 2000
-	spec.Horizon = 4 * 3600e9
-	spec.QoSPoints = []float64{0.90, 0.93, 0.95, 0.97, 0.99}
-	sys, err := Build(spec)
+	sys, err := build(Spec{
+		Workload: WEB, Nodes: 8, Objects: 10, Requests: 2000,
+		Horizon: 4 * time.Hour, Delta: time.Hour, Seed: 1, Tlat: 150,
+		QoSPoints: []float64{0.90, 0.93, 0.95, 0.97, 0.99}, Zeta: 500,
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestWarmColdDifferential(t *testing.T) {
 			spec := tinySpec(kind)
 			// Three ascending goals give every column two warm links.
 			spec.QoSPoints = []float64{0.7, 0.8, 0.9}
-			sys, err := Build(spec)
+			sys, err := build(spec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,25 +28,8 @@ const (
 	GROUP WorkloadKind = "group"
 )
 
-// Scale selects a preset experiment size. The paper's full scale (20
-// nodes, 1000 objects, 300K/16M requests, 24 one-hour intervals) drives
-// CPLEX for up to 12 hours; the presets keep the workload *shape* (Zipf vs
-// uniform popularity, uneven vs even site activity) while shrinking the
-// object count and horizon so a bound solves in seconds to minutes on one
-// core. EXPERIMENTS.md records which scale produced each reported number.
-type Scale string
-
-// Available scales.
-const (
-	// ScaleSmall: CI-sized; every figure regenerates in seconds.
-	ScaleSmall Scale = "small"
-	// ScaleMedium: the default for reported results; minutes per figure.
-	ScaleMedium Scale = "medium"
-	// ScaleLarge: closest to the paper; tens of minutes per figure.
-	ScaleLarge Scale = "large"
-)
-
-// Spec fixes every parameter of an experiment run.
+// Spec describes a materialized System: what scenario.Compile generated,
+// or what NewSystem was handed, plus the goal grid to sweep on it.
 type Spec struct {
 	Workload WorkloadKind
 	Nodes    int
@@ -65,62 +48,8 @@ type Spec struct {
 	ZipfS float64
 }
 
-// NewSpec returns the spec for a workload at a preset scale.
-func NewSpec(kind WorkloadKind, scale Scale) (Spec, error) {
-	s := Spec{
-		Workload:  kind,
-		Nodes:     20,
-		Tlat:      150,
-		Delta:     time.Hour,
-		Seed:      1,
-		QoSPoints: []float64{0.95, 0.99, 0.999, 0.9999, 0.99999},
-		Zeta:      10000,
-	}
-	switch scale {
-	case ScaleSmall:
-		s.Nodes = 10
-		s.Objects = 24
-		s.Horizon = 8 * time.Hour
-		s.Requests = 6000
-		s.Zeta = 500
-	case ScaleMedium:
-		// 50 objects against ~2000 reads per node give WEB a cold tail
-		// that penalizes the replica constraint. Twelve hourly intervals
-		// keep every class bound under ~10s per point on one core; the
-		// flip side is that reactive classes (caching) hit their cold-miss
-		// ceiling (~1/12 of a node's reads) just above the 90% point, so
-		// the sweep starts at 0.90 to show caching before it truncates.
-		// ScaleLarge restores the paper's 24 intervals.
-		s.Nodes = 10
-		s.Objects = 50
-		s.Horizon = 12 * time.Hour
-		s.Requests = 20000
-		s.Zeta = 2000
-		s.QoSPoints = []float64{0.90, 0.95, 0.99, 0.999, 0.9999}
-	case ScaleLarge:
-		// Paper-like request density (~0.6 reads per node-interval-object
-		// cell) so WEB has a genuinely cold object tail; that cold tail is
-		// what makes the replica constraint expensive relative to the
-		// storage constraint (the paper's central WEB conclusion). Expect
-		// minutes-to-hours per SC/RC bound point at this size.
-		s.Objects = 150
-		s.Horizon = 24 * time.Hour
-		s.Requests = 45000
-		s.Zeta = 10000
-		s.ZipfS = 1.1
-	default:
-		return Spec{}, fmt.Errorf("experiments: unknown scale %q", scale)
-	}
-	if kind == GROUP {
-		// GROUP has ~50x WEB's request volume in the paper (16M vs 300K);
-		// keep a 4x ratio so runtimes stay bounded.
-		s.Requests *= 4
-	}
-	return s, nil
-}
-
 // CustomWorkload marks a System built from an externally supplied topology
-// and trace rather than a generated preset.
+// and trace rather than a compiled scenario.
 const CustomWorkload WorkloadKind = "custom"
 
 // ValidateQoS rejects QoS point lists that the sweep cannot consume:
@@ -151,37 +80,6 @@ type System struct {
 	Topo   *topology.Topology
 	Trace  *workload.Trace
 	Counts *workload.Counts
-}
-
-// Build generates the deterministic system for a spec.
-func Build(spec Spec) (*System, error) {
-	topo, err := topology.Generate(topology.GenOptions{N: spec.Nodes, Seed: spec.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("generate topology: %w", err)
-	}
-	var trace *workload.Trace
-	switch spec.Workload {
-	case WEB:
-		trace, err = workload.GenerateWeb(workload.WebOptions{
-			Nodes: spec.Nodes, Objects: spec.Objects, Requests: spec.Requests,
-			Duration: spec.Horizon, Seed: spec.Seed, ZipfS: spec.ZipfS,
-		})
-	case GROUP:
-		trace, err = workload.GenerateGroup(workload.GroupOptions{
-			Nodes: spec.Nodes, Objects: spec.Objects, Requests: spec.Requests,
-			Duration: spec.Horizon, Seed: spec.Seed,
-		})
-	default:
-		return nil, fmt.Errorf("experiments: unknown workload %q", spec.Workload)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("generate %s workload: %w", spec.Workload, err)
-	}
-	counts, err := trace.Bucket(spec.Delta)
-	if err != nil {
-		return nil, err
-	}
-	return &System{Spec: spec, Topo: topo, Trace: trace, Counts: counts}, nil
 }
 
 // NewSystem wraps an externally supplied topology and trace into a System
@@ -220,8 +118,8 @@ func NewSystem(topo *topology.Topology, trace *workload.Trace, delta time.Durati
 }
 
 // Instance builds the MC-PERF instance at one QoS point. It only reads
-// the System, so it is safe for concurrent use: the sweep's instance
-// cache builds distinct QoS points in parallel from one System.
+// the System, so it is safe for concurrent use: every column of a sweep
+// builds its own instances from one System.
 func (s *System) Instance(tqos float64) (*core.Instance, error) {
 	return core.NewInstance(s.Topo, s.Counts, core.DefaultCost(), core.QoS(tqos, s.Spec.Tlat))
 }

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"wideplace/internal/topology"
+	"wideplace/internal/workload"
 )
 
 func boundOpts() Options { return Options{} }
@@ -25,48 +29,41 @@ func tinySpec(kind WorkloadKind) Spec {
 	}
 }
 
-func TestNewSpecPresets(t *testing.T) {
-	for _, scale := range []Scale{ScaleSmall, ScaleMedium, ScaleLarge} {
-		for _, kind := range []WorkloadKind{WEB, GROUP} {
-			s, err := NewSpec(kind, scale)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kind, scale, err)
-			}
-			if s.Objects <= 0 || s.Requests <= 0 || len(s.QoSPoints) != 5 {
-				t.Errorf("%s/%s: bad spec %+v", kind, scale, s)
-			}
-		}
-	}
-	if _, err := NewSpec(WEB, Scale("huge")); err == nil {
-		t.Error("unknown scale accepted")
-	}
-}
-
-func TestBuildDeterministic(t *testing.T) {
-	spec := tinySpec(WEB)
-	a, err := Build(spec)
+// build generates a spec's system with the topology and workload
+// generators. Outside tests, systems come from scenario.Compile, which
+// imports this package, so its tests state their systems here.
+func build(spec Spec) (*System, error) {
+	topo, err := topology.Generate(topology.GenOptions{N: spec.Nodes, Seed: spec.Seed})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	b, err := Build(spec)
+	var trace *workload.Trace
+	switch spec.Workload {
+	case WEB:
+		trace, err = workload.GenerateWeb(workload.WebOptions{
+			Nodes: spec.Nodes, Objects: spec.Objects, Requests: spec.Requests,
+			Duration: spec.Horizon, Seed: spec.Seed, ZipfS: spec.ZipfS,
+		})
+	case GROUP:
+		trace, err = workload.GenerateGroup(workload.GroupOptions{
+			Nodes: spec.Nodes, Objects: spec.Objects, Requests: spec.Requests,
+			Duration: spec.Horizon, Seed: spec.Seed,
+		})
+	default:
+		return nil, fmt.Errorf("unknown workload %q", spec.Workload)
+	}
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if len(a.Trace.Accesses) != len(b.Trace.Accesses) {
-		t.Fatal("non-deterministic build")
+	counts, err := trace.Bucket(spec.Delta)
+	if err != nil {
+		return nil, err
 	}
-	for i := range a.Trace.Accesses {
-		if a.Trace.Accesses[i] != b.Trace.Accesses[i] {
-			t.Fatalf("access %d differs", i)
-		}
-	}
-	if _, err := Build(Spec{Workload: "bogus"}); err == nil {
-		t.Error("bogus workload accepted")
-	}
+	return &System{Spec: spec, Topo: topo, Trace: trace, Counts: counts}, nil
 }
 
 func TestFigure1Shape(t *testing.T) {
-	sys, err := Build(tinySpec(WEB))
+	sys, err := build(tinySpec(WEB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +105,7 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	sys, err := Build(tinySpec(WEB))
+	sys, err := build(tinySpec(WEB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +132,7 @@ func TestFigure2Shape(t *testing.T) {
 func TestFigure3Shape(t *testing.T) {
 	spec := tinySpec(WEB)
 	spec.QoSPoints = []float64{0.7, 0.8}
-	sys, err := Build(spec)
+	sys, err := build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +149,7 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestTable3(t *testing.T) {
-	sys, err := Build(tinySpec(WEB))
+	sys, err := build(tinySpec(WEB))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func Figure1(sys *System, opts Options, progress Progress) (*Figure, error) {
 		core.Caching(sys.Topo),
 		core.CoopCaching(sys.Topo, sys.Spec.Tlat),
 	}
-	return boundFigure(sys, newInstanceCache(sys), classes,
+	return boundFigure(sys, classes,
 		fmt.Sprintf("Figure 1 (%s): lower bounds per heuristic class", sys.Spec.Workload), opts, progress)
 }
 
@@ -70,7 +70,7 @@ func Sweep(sys *System, classes []*core.Class, title string, opts Options, progr
 	if title == "" {
 		title = fmt.Sprintf("sweep (%s): lower bounds per heuristic class", sys.Spec.Workload)
 	}
-	return boundFigure(sys, newInstanceCache(sys), classes, title, opts, progress)
+	return boundFigure(sys, classes, title, opts, progress)
 }
 
 // boundFigure sweeps the (class, QoS point) grid. Each class column is
@@ -80,9 +80,8 @@ func Sweep(sys *System, classes []*core.Class, title string, opts Options, progr
 // column is delegated whole to the hook (the distributed path). Results
 // are slotted by grid index in both modes, so the figure is deterministic
 // across worker counts and identical (bounds and TSV body) between them,
-// and bounds match independent cold solves of every cell. Every per-QoS
-// instance is built exactly once and shared across classes via the cache.
-func boundFigure(sys *System, cache *instanceCache, classes []*core.Class, title string, opts Options, progress Progress) (*Figure, error) {
+// and bounds match independent cold solves of every cell.
+func boundFigure(sys *System, classes []*core.Class, title string, opts Options, progress Progress) (*Figure, error) {
 	fig := &Figure{Title: title, Spec: sys.Spec}
 	qos := sys.Spec.QoSPoints
 	nC, nQ := len(classes), len(qos)
@@ -94,7 +93,7 @@ func boundFigure(sys *System, cache *instanceCache, classes []*core.Class, title
 	tick := opts.cellTicker(nC * nQ)
 	err := runCells(opts.context(), nC, opts.workers(nC), func(ctx context.Context, c int) error {
 		if opts.ColumnSolver == nil {
-			return solveColumn(ctx, cache, classes[c], qos, opts, progress, tick,
+			return solveColumn(ctx, sys, classes[c], qos, opts, progress, tick,
 				func(qi int, p Point) { points[c][qi] = p })
 		}
 		pts, cerr := opts.ColumnSolver(ctx, classes[c].Name, qos)
@@ -175,7 +174,6 @@ func Figure2(sys *System, opts Options, progress Progress) (*Figure2Result, erro
 		Chosen: make([]HeuristicPoint, nQ),
 		LRU:    make([]HeuristicPoint, nQ),
 	}
-	cache := newInstanceCache(sys)
 	progress = syncProgress(progress)
 	// Cell layout: the nQ bound tasks fold into a single warm-chained
 	// column cell; the two tuning tasks per QoS point are simulator runs
@@ -210,7 +208,7 @@ func Figure2(sys *System, opts Options, progress Progress) (*Figure2Result, erro
 	// tuning tasks in qi-major order.
 	err := runCells(opts.context(), 1+2*nQ, opts.workers(1+2*nQ), func(ctx context.Context, idx int) error {
 		if idx == 0 {
-			return solveColumn(ctx, cache, boundClass, qos, opts, progress, tick,
+			return solveColumn(ctx, sys, boundClass, qos, opts, progress, tick,
 				func(qi int, p Point) { res.Bound[qi] = p })
 		}
 		tune((idx-1)/2, (idx-1)%2+1)
@@ -276,7 +274,7 @@ func Figure3(sys *System, opts Options, progress Progress) (*Figure3Result, erro
 		withReactive(core.ReplicaConstrained()),
 		core.Caching(dep.Topology),
 	}
-	fig, err := boundFigure(subSys, newInstanceCache(subSys), classes,
+	fig, err := boundFigure(subSys, classes,
 		fmt.Sprintf("Figure 3 (%s): bounds on the %d-node deployed topology", sys.Spec.Workload, dep.Topology.N),
 		opts, progress)
 	if err != nil {

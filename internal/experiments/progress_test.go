@@ -8,7 +8,7 @@ import (
 )
 
 func TestProgressLogging(t *testing.T) {
-	sys, err := Build(tinySpec(WEB))
+	sys, err := build(tinySpec(WEB))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,37 +98,6 @@ func (o Options) cellTicker(total int) func() {
 	}
 }
 
-// instanceCache builds each per-QoS MC-PERF instance exactly once and
-// shares it across every class series of a sweep. Distinct QoS points
-// build concurrently; a repeated point blocks on the first build.
-type instanceCache struct {
-	sys *System
-	mu  sync.Mutex
-	m   map[float64]*instanceEntry
-}
-
-type instanceEntry struct {
-	once sync.Once
-	inst *core.Instance
-	err  error
-}
-
-func newInstanceCache(sys *System) *instanceCache {
-	return &instanceCache{sys: sys, m: make(map[float64]*instanceEntry)}
-}
-
-func (c *instanceCache) get(q float64) (*core.Instance, error) {
-	c.mu.Lock()
-	e := c.m[q]
-	if e == nil {
-		e = &instanceEntry{}
-		c.m[q] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.inst, e.err = c.sys.Instance(q) })
-	return e.inst, e.err
-}
-
 // runCells executes fn for every index in [0, n) on a bounded worker
 // pool. fn writes its result into its own pre-allocated slot, which keeps
 // result ordering deterministic regardless of completion order. The first
@@ -200,7 +169,7 @@ func ascendingQoS(qos []float64) []int {
 // unattainable rebind reports the cell infeasible and leaves the compiled
 // problem at its last good goal, mirroring how the fresh-build path skips
 // the cell.
-func solveColumn(ctx context.Context, cache *instanceCache, class *core.Class, qos []float64, opts Options, progress Progress, tick func(), out func(qi int, p Point)) error {
+func solveColumn(ctx context.Context, sys *System, class *core.Class, qos []float64, opts Options, progress Progress, tick func(), out func(qi int, p Point)) error {
 	var (
 		start *lp.Basis
 		comp  *core.CompiledQoS
@@ -222,7 +191,7 @@ func solveColumn(ctx context.Context, cache *instanceCache, class *core.Class, q
 		case comp == nil:
 			// No compiled problem yet (first cell, or every goal so far
 			// was unattainable at build time): compile at this goal.
-			inst, ierr := cache.get(q)
+			inst, ierr := sys.Instance(q)
 			if ierr != nil {
 				return ierr
 			}

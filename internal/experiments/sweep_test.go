@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"sync"
 	"testing"
 
 	"wideplace/internal/core"
@@ -16,7 +15,7 @@ import (
 func TestParallelSweepGolden(t *testing.T) {
 	for _, kind := range []WorkloadKind{WEB, GROUP} {
 		t.Run(string(kind), func(t *testing.T) {
-			sys, err := Build(tinySpec(kind))
+			sys, err := build(tinySpec(kind))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +46,7 @@ func TestParallelSweepGolden(t *testing.T) {
 func TestColumnSolverByteIdentical(t *testing.T) {
 	for _, kind := range []WorkloadKind{WEB, GROUP} {
 		t.Run(string(kind), func(t *testing.T) {
-			sys, err := Build(tinySpec(kind))
+			sys, err := build(tinySpec(kind))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +67,7 @@ func TestColumnSolverByteIdentical(t *testing.T) {
 				ColumnSolver: func(ctx context.Context, class string, qos []float64) ([]Point, error) {
 					// Play a worker: rebuild the system from scratch and run
 					// a single-class sweep over the requested column.
-					wsys, err := Build(tinySpec(kind))
+					wsys, err := build(tinySpec(kind))
 					if err != nil {
 						return nil, err
 					}
@@ -92,7 +91,7 @@ func TestColumnSolverByteIdentical(t *testing.T) {
 
 // TestColumnSolverValidation rejects hooks that return the wrong shape.
 func TestColumnSolverValidation(t *testing.T) {
-	sys, err := Build(tinySpec(WEB))
+	sys, err := build(tinySpec(WEB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestColumnSolverValidation(t *testing.T) {
 // TestSweepSolverStats asserts that every feasible cell reports nonzero
 // solver effort (the observability layer's acceptance criterion).
 func TestSweepSolverStats(t *testing.T) {
-	sys, err := Build(tinySpec(WEB))
+	sys, err := build(tinySpec(WEB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +157,7 @@ func TestSweepSolverStats(t *testing.T) {
 // TestSweepCanceled asserts that a canceled context aborts the sweep
 // promptly with a distinguishable error.
 func TestSweepCanceled(t *testing.T) {
-	sys, err := Build(tinySpec(WEB))
+	sys, err := build(tinySpec(WEB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +172,7 @@ func TestSweepCanceled(t *testing.T) {
 // TestFigure2Parallel checks the three-task-per-QoS fan-out matches the
 // serial run.
 func TestFigure2Parallel(t *testing.T) {
-	sys, err := Build(tinySpec(WEB))
+	sys, err := build(tinySpec(WEB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,36 +194,6 @@ func TestFigure2Parallel(t *testing.T) {
 		}
 		if serial.LRU[i] != parallel.LRU[i] {
 			t.Errorf("lru %d differs: %+v vs %+v", i, serial.LRU[i], parallel.LRU[i])
-		}
-	}
-}
-
-// TestInstanceCacheBuildsOnce verifies the per-QoS instance is shared, not
-// rebuilt per class.
-func TestInstanceCacheBuildsOnce(t *testing.T) {
-	sys, err := Build(tinySpec(WEB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := newInstanceCache(sys)
-	var wg sync.WaitGroup
-	insts := make([]interface{}, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			inst, err := cache.get(0.9)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			insts[i] = inst
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < 8; i++ {
-		if insts[i] != insts[0] {
-			t.Fatalf("concurrent gets returned distinct instances")
 		}
 	}
 }

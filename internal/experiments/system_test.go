@@ -135,9 +135,9 @@ func TestSweepRejectsEmptyClasses(t *testing.T) {
 	}
 }
 
-// TestInstanceConcurrentOnStreamedCounts: the sweep's instance cache
-// builds distinct QoS points concurrently from one System, so Instance
-// must only read it; run under -race. The counts come straight from
+// TestInstanceConcurrentOnStreamedCounts: the sweep's columns build
+// their instances concurrently from one System, so Instance must only
+// read it; run under -race. The counts come straight from
 // Stream.Counts over a large, mostly zero tensor (8 sites x 8 intervals x
 // 1,024 objects = 65,536 cells for 2,000 requests), the input a compact
 // form of the counts would target.

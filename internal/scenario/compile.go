@@ -221,10 +221,7 @@ func (s *Spec) buildTopology() (*topology.Topology, error) {
 // options), so no second trace copy exists on either path.
 func (s *Spec) WorkloadStream() (*workload.Stream, error) {
 	w := &s.Workload
-	horizon := time.Duration(w.HorizonMillis) * time.Millisecond
-	if horizon == 0 {
-		horizon = defaultHorizon
-	}
+	horizon := s.horizon()
 	switch w.Model {
 	case WorkWeb:
 		return workload.StreamWeb(workload.WebOptions{
@@ -318,8 +315,7 @@ func selfCheckAttainability(spec Spec, sys *experiments.System, classes []*core.
 // Trace marshal deterministically (slices only, no maps); delta, tlat,
 // QoS points and zeta are the parameters that change which question is
 // asked. Provenance fields (workload kind, seeds, generator knobs) stay
-// out so two routes to the same system — a preset and its scenario
-// translation — fingerprint identically.
+// out: the hash names the question, not the route that generated it.
 //
 // Streamed systems have no Trace. They hash CountsDigest — the SHA-256 of
 // the counts' canonical binary encoding — instead, leaving Trace null, so

@@ -5,8 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"wideplace/internal/experiments"
 )
 
 // Every registered scenario must compile, and compiling it twice must
@@ -100,41 +98,48 @@ func TestRegisteredScenarioFingerprints(t *testing.T) {
 	}
 }
 
-// FromPreset must round-trip the hard-coded experiment presets through the
-// scenario layer without changing a byte of the materialized system: the
-// registry is a refactoring of the paper instance, not a reinterpretation.
-func TestFromPresetMatchesExperimentsBuild(t *testing.T) {
-	kinds := []experiments.WorkloadKind{experiments.WEB, experiments.GROUP}
-	scales := []experiments.Scale{experiments.ScaleSmall, experiments.ScaleMedium, experiments.ScaleLarge}
-	for _, kind := range kinds {
-		for _, scale := range scales {
+// presetFingerprints pins the compiled system of every preset to the
+// fingerprint its hand-coded generator path produced before the presets
+// became scenario specs: the move is a refactoring of the paper instance,
+// not a reinterpretation.
+var presetFingerprints = map[string]string{
+	"web-small":    "sha256:31b6971e2fde92bbdef6b0b5269ef2a568be748a1250e230101c82f48ee8b532",
+	"web-medium":   "sha256:8fc3fb595e18ce01b5c398c5fa51a8e4bfff4471abb54f4533f256ed31209b0d",
+	"web-large":    "sha256:c3c8a36d6c9c1ccc267de2ec07ce58d4e9f3911e69914a716c8d5c4c196d76a4",
+	"group-small":  "sha256:a4ad0ad3e3ec9bde0b6505afcc966229918378c7e8199766191a16399fcb88f8",
+	"group-medium": "sha256:cfac7665a704e77478100fc7c500a6d33f4713b63b7f49cdff02136e4319507e",
+	"group-large":  "sha256:462467a5345d10e3e27ea18d9a3a33a2f5336a631abc22aeef15373d02201b8a",
+}
+
+func TestPresetFingerprints(t *testing.T) {
+	for _, kind := range []string{WorkWeb, WorkGroup} {
+		for _, scale := range []string{"small", "medium", "large"} {
 			kind, scale := kind, scale
-			t.Run(string(kind)+"-"+string(scale), func(t *testing.T) {
+			t.Run(kind+"-"+scale, func(t *testing.T) {
 				t.Parallel()
-				es, err := experiments.NewSpec(kind, scale)
+				spec, err := Preset(kind, scale)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := experiments.Build(es)
+				if spec.Name != kind+"-"+scale {
+					t.Errorf("preset is named %q", spec.Name)
+				}
+				res, err := Compile(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantFP, err := Fingerprint(want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				spec, err := FromPreset(kind, scale)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := Compile(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Fingerprint != wantFP {
-					t.Fatalf("scenario compile of %s/%s diverges from experiments.Build", kind, scale)
+				if want := presetFingerprints[spec.Name]; res.Fingerprint != want {
+					t.Fatalf("fingerprint %s, want %s", res.Fingerprint, want)
 				}
 			})
+		}
+	}
+}
+
+func TestPresetRejectsUnknownNames(t *testing.T) {
+	for _, c := range [][2]string{{"web", "huge"}, {"cdn", "small"}, {"flash-crowd", "small"}} {
+		if _, err := Preset(c[0], c[1]); err == nil {
+			t.Errorf("Preset(%q, %q) accepted", c[0], c[1])
 		}
 	}
 }
@@ -160,6 +165,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		{"duplicate qos", `{"name":"x","topology":{"model":"random-as"},"workload":{"model":"web"},"qos":[0.9,0.9]}`, "duplicate QoS"},
 		{"unknown class", `{"name":"x","topology":{"model":"random-as"},"workload":{"model":"web"},"qos":[0.9],"classes":["psychic"]}`, "unknown class"},
 		{"trailing data", `{"name":"x","topology":{"model":"random-as"},"workload":{"model":"web"},"qos":[0.9]} {"more":true}`, "trailing data"},
+		{"too many nodes", `{"name":"x","topology":{"model":"random-as","nodes":1025},"workload":{"model":"web"},"qos":[0.9]}`, "1025 exceeds the supported maximum"},
+		{"too many objects", `{"name":"x","topology":{"model":"random-as","nodes":2},"workload":{"model":"web","objects":2000000000},"qos":[0.9]}`, "count cells"},
+		{"default objects past the cap", `{"name":"x","topology":{"model":"random-as","nodes":1000},"workload":{"model":"web"},"qos":[0.9]}`, "count cells"},
+		{"one-millisecond intervals", `{"name":"x","topology":{"model":"random-as"},"workload":{"model":"web","objects":10},"deltaMillis":1,"qos":[0.9]}`, "count cells"},
+		{"horizon past a Duration", `{"name":"x","topology":{"model":"random-as"},"workload":{"model":"web","horizonMillis":9223372036854775807},"qos":[0.9]}`, "must be at most"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -171,6 +181,17 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// The size caps must admit every registered scenario at the largest
+// default stress rung.
+func TestSizeCapsAdmitStressRungs(t *testing.T) {
+	for _, spec := range Specs() {
+		scaled := spec.WithNodes(500)
+		if err := scaled.Validate(); err != nil {
+			t.Errorf("%s at 500 nodes: %v", spec.Name, err)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"wideplace/internal/core"
 	"wideplace/internal/experiments"
 	"wideplace/internal/topology"
+	"wideplace/internal/workload"
 )
 
 // Topology model names.
@@ -190,6 +192,14 @@ func (s *Spec) Delta() time.Duration {
 	return defaultDelta
 }
 
+// horizon returns the effective trace duration.
+func (s *Spec) horizon() time.Duration {
+	if s.Workload.HorizonMillis > 0 {
+		return time.Duration(s.Workload.HorizonMillis) * time.Millisecond
+	}
+	return defaultHorizon
+}
+
 // Nodes returns the effective site count.
 func (s *Spec) Nodes() int {
 	if s.Topology.Nodes > 0 {
@@ -232,6 +242,9 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	if err := s.validateWorkload(); err != nil {
+		return err
+	}
+	if err := s.validateSize(); err != nil {
 		return err
 	}
 	if s.TlatMillis < 0 || math.IsNaN(s.TlatMillis) || math.IsInf(s.TlatMillis, 0) {
@@ -367,6 +380,27 @@ func (s *Spec) validateWorkload() error {
 		return fmt.Errorf("scenario %s: workload.model is required (web, group, flash-crowd or diurnal)", s.Name)
 	default:
 		return fmt.Errorf("scenario %s: unknown workload model %q (want web, group, flash-crowd or diurnal)", s.Name, w.Model)
+	}
+	return nil
+}
+
+// validateSize applies the size caps of topology.MaxNodes and
+// workload.MaxCells to the spec's effective sizes, model defaults
+// included. Compiling allocates the latency matrix and the counts whole,
+// so an oversized spec from a job body must fail here, before anything
+// is generated. Horizon and interval are checked against the range of a
+// Duration before they are converted.
+func (s *Spec) validateSize() error {
+	if n := s.Nodes(); n > topology.MaxNodes {
+		return fmt.Errorf("scenario %s: topology.nodes %d exceeds the supported maximum %d", s.Name, n, topology.MaxNodes)
+	}
+	const maxMillis = math.MaxInt64 / int64(time.Millisecond)
+	if s.Workload.HorizonMillis > maxMillis || s.DeltaMillis > maxMillis {
+		return fmt.Errorf("scenario %s: horizonMillis and deltaMillis must be at most %d", s.Name, maxMillis)
+	}
+	objects := cmp.Or(s.Workload.Objects, workload.DefaultObjects)
+	if _, err := workload.Intervals(s.Nodes(), objects, s.horizon(), s.Delta()); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	return nil
 }

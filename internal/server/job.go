@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -42,15 +43,16 @@ func (s JobState) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// SpecRequest selects a generated preset system (the paper's evaluation
-// setups), with optional field overrides. Zero-valued fields keep the
-// preset's value.
+// SpecRequest selects a paper preset (scenario.Preset) with optional field
+// overrides; compile states it as that preset's scenario spec. Zero-valued
+// fields keep the preset's value.
 type SpecRequest struct {
 	// Workload is "web" or "group".
 	Workload string `json:"workload"`
 	// Scale is "small", "medium" or "large".
 	Scale string `json:"scale"`
-	// Overrides (0 = keep the preset value; negatives are rejected).
+	// Overrides (0 = keep the preset value). The scenario validator
+	// rejects negatives, oversized systems and zipfS on group.
 	Nodes         int       `json:"nodes,omitempty"`
 	Objects       int       `json:"objects,omitempty"`
 	Requests      int       `json:"requests,omitempty"`
@@ -63,9 +65,9 @@ type SpecRequest struct {
 }
 
 // JobRequest is the body of POST /jobs: a placement question. The system
-// under analysis is stated either as a preset spec or as an explicit
-// topology + trace (the same JSON the cmd/workload tool emits); the
-// class list defaults to the paper's Figure 1 set.
+// under analysis is stated as a preset spec, a scenario or an explicit
+// topology + trace (the same JSON the cmd/workload tool emits); the class
+// list defaults to the paper's Figure 1 set.
 type JobRequest struct {
 	// Spec selects a generated preset system. Mutually exclusive with
 	// Scenario and Topology/Trace.
@@ -139,11 +141,13 @@ func compile(req *JobRequest) (*jobPlan, error) {
 	classes := req.Classes
 	switch {
 	case req.Spec != nil:
-		spec, err := compileSpec(req.Spec)
+		// A preset job keeps the empty class list, so it runs as Figure 1
+		// and its TSV matches cmd/bounds -workload/-scale byte for byte.
+		scn, err := req.Spec.scenario()
 		if err != nil {
 			return nil, err
 		}
-		p.Spec = &spec
+		p.Scenario = &scn
 	case req.Scenario != nil:
 		if err := req.Scenario.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadRequest, err)
@@ -209,63 +213,29 @@ func compile(req *JobRequest) (*jobPlan, error) {
 	return p, nil
 }
 
-// compileSpec resolves a preset spec request with its overrides applied.
-func compileSpec(sp *SpecRequest) (experiments.Spec, error) {
-	var zero experiments.Spec
-	kind := experiments.WorkloadKind(sp.Workload)
-	if kind != experiments.WEB && kind != experiments.GROUP {
-		return zero, badRequestf("unknown workload %q (want web or group)", sp.Workload)
-	}
-	spec, err := experiments.NewSpec(kind, experiments.Scale(sp.Scale))
+// scenario states the request as its preset's scenario spec with the
+// overrides applied, validated like any scenario body.
+func (sp *SpecRequest) scenario() (scenario.Spec, error) {
+	s, err := scenario.Preset(sp.Workload, sp.Scale)
 	if err != nil {
-		return zero, fmt.Errorf("%w: %v", errBadRequest, err)
+		return scenario.Spec{}, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"nodes", int64(sp.Nodes)}, {"objects", int64(sp.Objects)},
-		{"requests", int64(sp.Requests)}, {"horizonMillis", sp.HorizonMillis},
-		{"deltaMillis", sp.DeltaMillis},
-	} {
-		if f.v < 0 {
-			return zero, badRequestf("%s must not be negative", f.name)
-		}
-	}
-	if sp.ZipfS < 0 || sp.Tlat < 0 {
-		return zero, badRequestf("zipfS and tlat must not be negative")
-	}
-	if sp.Nodes > 0 {
-		spec.Nodes = sp.Nodes
-	}
-	if sp.Objects > 0 {
-		spec.Objects = sp.Objects
-	}
-	if sp.Requests > 0 {
-		spec.Requests = sp.Requests
-	}
-	if sp.HorizonMillis > 0 {
-		spec.Horizon = time.Duration(sp.HorizonMillis) * time.Millisecond
-	}
-	if sp.DeltaMillis > 0 {
-		spec.Delta = time.Duration(sp.DeltaMillis) * time.Millisecond
-	}
-	if sp.Seed > 0 {
-		spec.Seed = sp.Seed
-	}
-	if sp.ZipfS > 0 {
-		spec.ZipfS = sp.ZipfS
-	}
-	if sp.Tlat > 0 {
-		spec.Tlat = sp.Tlat
-	}
+	w := &s.Workload
+	s.Topology.Nodes = cmp.Or(sp.Nodes, s.Topology.Nodes)
+	w.Objects = cmp.Or(sp.Objects, w.Objects)
+	w.Requests = cmp.Or(sp.Requests, w.Requests)
+	w.HorizonMillis = cmp.Or(sp.HorizonMillis, w.HorizonMillis)
+	w.ZipfS = cmp.Or(sp.ZipfS, w.ZipfS)
+	s.DeltaMillis = cmp.Or(sp.DeltaMillis, s.DeltaMillis)
+	s.Seed = cmp.Or(sp.Seed, s.Seed)
+	s.TlatMillis = cmp.Or(sp.Tlat, s.TlatMillis)
 	if len(sp.QoS) > 0 {
-		if err := experiments.ValidateQoS(sp.QoS); err != nil {
-			return zero, fmt.Errorf("%w: %v", errBadRequest, err)
-		}
-		spec.QoSPoints = append([]float64(nil), sp.QoS...)
+		s.QoS = append([]float64(nil), sp.QoS...)
 	}
-	return spec, nil
+	if err := s.Validate(); err != nil {
+		return scenario.Spec{}, fmt.Errorf("%w: %v", errBadRequest, err)
+	}
+	return s, nil
 }
 
 // run executes the sweep. An empty class list runs the Figure 1 set, so

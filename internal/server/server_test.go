@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"wideplace/internal/experiments"
+	"wideplace/internal/scenario"
 	"wideplace/internal/topology"
 	"wideplace/internal/workload"
 )
@@ -221,22 +222,22 @@ func TestCancelAbortsRunningSolve(t *testing.T) {
 // both WEB and GROUP.
 func TestResultMatchesSerialSweep(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, Parallel: 0})
-	for _, kind := range []experiments.WorkloadKind{experiments.WEB, experiments.GROUP} {
-		t.Run(string(kind), func(t *testing.T) {
-			spec, err := experiments.NewSpec(kind, experiments.ScaleSmall)
+	for _, kind := range []string{scenario.WorkWeb, scenario.WorkGroup} {
+		t.Run(kind, func(t *testing.T) {
+			spec, err := scenario.Preset(kind, "small")
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec.Nodes = 8
-			spec.Objects = 10
-			spec.Requests = 2000
-			spec.Horizon = 4 * time.Hour
-			spec.QoSPoints = []float64{0.9, 0.95}
-			sys, err := experiments.Build(spec)
+			spec.Topology.Nodes = 8
+			spec.Workload.Objects = 10
+			spec.Workload.Requests = 2000
+			spec.Workload.HorizonMillis = (4 * time.Hour).Milliseconds()
+			spec.QoS = []float64{0.9, 0.95}
+			res, err := scenario.Compile(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fig, err := experiments.Figure1(sys, experiments.Options{Parallel: 1}, nil)
+			fig, err := experiments.Figure1(res.System, experiments.Options{Parallel: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,6 +329,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown workload", `{"spec":{"workload":"cdn","scale":"small"}}`},
 		{"unknown scale", `{"spec":{"workload":"web","scale":"galactic"}}`},
 		{"negative override", `{"spec":{"workload":"web","scale":"small","nodes":-2}}`},
+		{"zipf exponent on group", `{"spec":{"workload":"group","scale":"small","zipfS":1.1}}`},
 		{"qos above one", `{"spec":{"workload":"web","scale":"small","qos":[1.5]}}`},
 		{"qos zero", `{"spec":{"workload":"web","scale":"small","qos":[0]}}`},
 		{"duplicate qos", `{"spec":{"workload":"web","scale":"small","qos":[0.9,0.9]}}`},
@@ -356,6 +358,50 @@ func TestSubmitValidation(t *testing.T) {
 	if got := metricValue(t, text, "placementd_jobs_submitted_total"); got != "0" {
 		t.Errorf("submitted = %s, want 0 after rejected requests", got)
 	}
+}
+
+// TestHostileSystemsFailCleanly: bodies stating systems past the size
+// caps (topology.MaxNodes, workload.MaxCells) end in a 400 or a failed
+// job instead of allocating what they state, and the same server then
+// completes a normal job.
+func TestHostileSystemsFailCleanly(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Parallel: 1})
+	var chain strings.Builder
+	chain.WriteString(`{"topology":{"nodes":30000,"origin":0,"links":[`)
+	for i := 1; i < 30000; i++ {
+		if i > 1 {
+			chain.WriteByte(',')
+		}
+		fmt.Fprintf(&chain, `{"a":%d,"b":%d,"latencyMillis":1}`, i-1, i)
+	}
+	chain.WriteString(`]},"trace":{"nodes":30000,"objects":1,"durationMillis":1000,"accesses":[]},"deltaMillis":1000,"qos":[0.9]}`)
+	for _, c := range []struct {
+		name, body string
+		status     int
+	}{
+		{"explicit trace of 2e9 objects",
+			`{"topology":{"nodes":2,"origin":0,"links":[{"a":0,"b":1,"latencyMillis":100}]},"trace":{"nodes":2,"objects":2000000000,"durationMillis":86400000,"accesses":[]},"deltaMillis":1,"qos":[0.9]}`,
+			http.StatusAccepted},
+		{"scenario of 2e9 objects",
+			`{"scenario":{"name":"huge","topology":{"model":"random-as","nodes":2},"workload":{"model":"web","objects":2000000000,"requests":10},"qos":[0.9]}}`,
+			http.StatusBadRequest},
+		{"30000-node chain", chain.String(), http.StatusBadRequest},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v, status := postJob(t, ts, c.body)
+			if status != c.status {
+				t.Fatalf("status = %d, want %d", status, c.status)
+			}
+			if status == http.StatusAccepted {
+				got := waitState(t, ts, v.ID, time.Minute, StateFailed)
+				if !strings.Contains(got.Error, "exceeds the supported maximum") {
+					t.Errorf("job failed with %q, want the size cap", got.Error)
+				}
+			}
+		})
+	}
+	v, _ := postJob(t, ts, tinyJob)
+	waitState(t, ts, v.ID, time.Minute, StateDone)
 }
 
 // TestQueueBoundsAndDrain covers the bounded queue and graceful drain at

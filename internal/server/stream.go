@@ -79,10 +79,6 @@ func (s *Server) handleControllerStream(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, "a controller stream needs a scenario")
 		return
 	}
-	if err := req.Scenario.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	if req.TQoS == 0 {
 		req.TQoS = 0.95
 	}
@@ -94,6 +90,7 @@ func (s *Server) handleControllerStream(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, "intervals and deltaMillis must not be negative")
 		return
 	}
+	// Compile validates the spec, size caps included, before generating.
 	res, err := scenario.Compile(*req.Scenario)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

@@ -61,6 +61,12 @@ func TestValidation(t *testing.T) {
 	if _, err := New(0, nil, 0); err == nil {
 		t.Error("empty topology accepted")
 	}
+	if _, err := New(MaxNodes+1, nil, 0); err == nil {
+		t.Errorf("%d nodes accepted", MaxNodes+1)
+	}
+	if _, err := NewFromMatrix(make([][]float64, MaxNodes+1), 0); err == nil {
+		t.Errorf("%d-row latency matrix accepted", MaxNodes+1)
+	}
 }
 
 func TestDistMatrix(t *testing.T) {

@@ -6,6 +6,10 @@ import (
 	"time"
 )
 
+// DefaultObjects is every workload model's object count when its options
+// leave Objects zero.
+const DefaultObjects = 1000
+
 // WebOptions configures GenerateWeb, the synthetic stand-in for the
 // WorldCup98-derived WEB workload: a heavy-tailed Zipf object popularity
 // with many unpopular objects and an uneven user population across sites.
@@ -29,7 +33,7 @@ func (o WebOptions) withDefaults() WebOptions {
 		o.Nodes = 20
 	}
 	if o.Objects == 0 {
-		o.Objects = 1000
+		o.Objects = DefaultObjects
 	}
 	if o.Requests == 0 {
 		o.Requests = 300_000
@@ -78,7 +82,7 @@ func (o GroupOptions) withDefaults() GroupOptions {
 		o.Nodes = 20
 	}
 	if o.Objects == 0 {
-		o.Objects = 1000
+		o.Objects = DefaultObjects
 	}
 	if o.Requests == 0 {
 		o.Requests = 1_600_000

@@ -44,7 +44,7 @@ func (o FlashCrowdOptions) withDefaults() FlashCrowdOptions {
 		o.Nodes = 20
 	}
 	if o.Objects == 0 {
-		o.Objects = 1000
+		o.Objects = DefaultObjects
 	}
 	if o.Requests == 0 {
 		o.Requests = 300_000
@@ -105,7 +105,7 @@ func (o DiurnalOptions) withDefaults() DiurnalOptions {
 		o.Nodes = 20
 	}
 	if o.Objects == 0 {
-		o.Objects = 1000
+		o.Objects = DefaultObjects
 	}
 	if o.Requests == 0 {
 		o.Requests = 300_000

@@ -91,13 +91,13 @@ func (s *Stream) Materialize() (*Trace, error) {
 // Materialize().Bucket(delta) — bucketing is a sum, so the sort the
 // materialized path performs cannot change it.
 func (s *Stream) Counts(delta time.Duration) (*Counts, error) {
-	if delta <= 0 {
-		return nil, errors.New("workload: interval must be positive")
-	}
 	if s.pos != 0 {
 		return nil, errors.New("workload: stream already consumed")
 	}
-	ni := intervalCount(s.duration, delta)
+	ni, err := Intervals(s.nodes, s.objects, s.duration, delta)
+	if err != nil {
+		return nil, err
+	}
 	c := &Counts{
 		Nodes: s.nodes, Intervals: ni, Objects: s.objects, Delta: delta,
 		Reads:  alloc3(s.nodes, ni, s.objects),
@@ -119,19 +119,6 @@ func (s *Stream) Counts(delta time.Duration) (*Counts, error) {
 		bucket(c.Reads, c.Writes, buf[:n], delta, ni)
 	}
 	return c, nil
-}
-
-// intervalCount is the number of evaluation intervals of length delta in a
-// horizon: the final interval absorbs any remainder of it.
-func intervalCount(duration, delta time.Duration) int {
-	ni := int(duration / delta)
-	if time.Duration(ni)*delta < duration {
-		ni++
-	}
-	if ni == 0 {
-		ni = 1
-	}
-	return ni
 }
 
 // newStream builds the shared weighted-sampling stream (the WEB and GROUP

@@ -87,13 +87,47 @@ type Counts struct {
 	Delta     time.Duration
 }
 
+// MaxCells caps the nodes x intervals x objects cells of one Counts. Its
+// two dense tensors are allocated whole, and systems arrive in untrusted
+// job bodies, so the shape is checked before anything is allocated. 2^24
+// cells (256 MiB of counts) is 35 times the paper's full GROUP instance
+// (20 x 24 x 1,000).
+const MaxCells = 1 << 24
+
+// Intervals returns the number of delta-long evaluation intervals in a
+// horizon (the final one absorbs any remainder), or an error when delta
+// is not positive or the counts of nodes x intervals x objects would
+// exceed MaxCells. The count stays a Duration quotient, and every product
+// is checked by division, until it is known to fit.
+func Intervals(nodes, objects int, duration, delta time.Duration) (int, error) {
+	if delta <= 0 {
+		return 0, errors.New("workload: interval must be positive")
+	}
+	ni := duration / delta
+	if ni*delta < duration {
+		ni++
+	}
+	if ni <= 0 {
+		ni = 1
+	}
+	cells := int64(1)
+	for _, d := range []int64{int64(nodes), int64(ni), int64(objects)} {
+		if d > 0 && cells > MaxCells/d {
+			return 0, fmt.Errorf("workload: %d nodes x %d intervals x %d objects exceeds the supported maximum of %d count cells",
+				nodes, ni, objects, MaxCells)
+		}
+		cells *= d
+	}
+	return int(ni), nil
+}
+
 // Bucket aggregates the trace into intervals of length delta. The final
 // interval absorbs any remainder of the horizon.
 func (t *Trace) Bucket(delta time.Duration) (*Counts, error) {
-	if delta <= 0 {
-		return nil, errors.New("workload: interval must be positive")
+	ni, err := Intervals(t.NumNodes, t.NumObjects, t.Duration, delta)
+	if err != nil {
+		return nil, err
 	}
-	ni := intervalCount(t.Duration, delta)
 	c := &Counts{
 		Nodes: t.NumNodes, Intervals: ni, Objects: t.NumObjects, Delta: delta,
 		Reads:  alloc3(t.NumNodes, ni, t.NumObjects),

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -60,6 +61,28 @@ func TestBucketRejectsBadDelta(t *testing.T) {
 	tr := &Trace{NumNodes: 1, NumObjects: 1, Duration: time.Hour}
 	if _, err := tr.Bucket(0); err == nil {
 		t.Error("zero interval accepted")
+	}
+}
+
+// TestCountsCapped: a shape past MaxCells fails before allocating, with no
+// overflow on the way, through Bucket, Stream.Counts and Intervals alike.
+func TestCountsCapped(t *testing.T) {
+	tr := &Trace{NumNodes: 2, NumObjects: 2_000_000_000, Duration: 24 * time.Hour}
+	if _, err := tr.Bucket(time.Millisecond); err == nil {
+		t.Error("Bucket accepted 2 x 86.4M x 2e9 cells")
+	}
+	st, err := StreamGroup(GroupOptions{Nodes: 20, Objects: 1 << 20, Requests: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Counts(time.Hour); err == nil {
+		t.Error("Stream.Counts accepted 20 x 24 x 2^20 cells")
+	}
+	if _, err := Intervals(math.MaxInt, math.MaxInt, math.MaxInt64, 1); err == nil {
+		t.Error("Intervals accepted a shape whose products overflow")
+	}
+	if ni, err := Intervals(20, 1000, 24*time.Hour, time.Hour); err != nil || ni != 24 {
+		t.Errorf("paper GROUP shape: %d intervals, %v", ni, err)
 	}
 }
 

@@ -5,14 +5,16 @@
 #   2. two identical concurrent submissions cost one solve (cache hit),
 #      and standalone mode dispatches its columns to its in-process worker,
 #   3. DELETE aborts a running job mid-solve,
-#   4. served bounds are byte-identical to the serial cmd/bounds sweep,
-#   5. a scenario-spec job compiles server-side and its bounds match
+#   4. a body stating a system past the size caps is refused or fails as
+#      a job, and the daemon keeps answering and completes the next job,
+#   5. served bounds are byte-identical to the serial cmd/bounds sweep,
+#   6. a scenario-spec job compiles server-side and its bounds match
 #      cmd/bounds -scenario on the same spec file,
-#   6. SIGTERM drains the daemon cleanly,
-#   7. distributed mode: a coordinator and two race-enabled workers solve
+#   7. SIGTERM drains the daemon cleanly,
+#   8. distributed mode: a coordinator and two race-enabled workers solve
 #      a job byte-identically to cmd/bounds, surviving a worker killed
 #      mid-job (the shard retries on the survivor),
-#   8. a restarted coordinator answers the same job purely from its
+#   9. a restarted coordinator answers the same job purely from its
 #      persistent result store: zero fresh solver iterations, same bytes.
 # Needs only go, curl, grep and diff.
 set -euo pipefail
@@ -121,6 +123,40 @@ if [ "$(state_of "$CID")" != canceled ]; then
   echo "job $CID is $(state_of "$CID") after DELETE, want canceled" >&2
   exit 1
 fi
+
+echo "== a hostile system statement fails cleanly; the daemon keeps serving =="
+# 2e9 objects over 86.4M one-millisecond intervals: counts far past the
+# size cap, stated in 200 bytes.
+HOSTILE='{"topology":{"nodes":2,"origin":0,"links":[{"a":0,"b":1,"latencyMillis":100}]},"trace":{"nodes":2,"objects":2000000000,"durationMillis":86400000,"accesses":[]},"deltaMillis":1,"qos":[0.9]}'
+CODE=$(curl -s -o "$WORK/hostile.json" -w '%{http_code}' -X POST --data-binary "$HOSTILE" "$BASE/jobs" || true)
+case "$CODE" in
+4??) ;;
+200 | 202)
+  HID=$(job_id <"$WORK/hostile.json")
+  HST=""
+  for _ in $(seq 1 150); do
+    HST=$(state_of "$HID" || true)
+    case "$HST" in failed | done | canceled) break ;; esac
+    sleep 0.2
+  done
+  if [ "$HST" != failed ]; then
+    echo "hostile job $HID is '${HST:-unreachable}', want failed" >&2
+    tail -20 "$WORK/placementd.log" >&2
+    exit 1
+  fi
+  ;;
+*)
+  echo "hostile body got HTTP '$CODE', want a 4xx or an accepted job that fails" >&2
+  exit 1
+  ;;
+esac
+curl -fs "$BASE/healthz" >/dev/null || {
+  echo "placementd stopped answering after a hostile body:" >&2
+  tail -20 "$WORK/placementd.log" >&2
+  exit 1
+}
+ID=$(submit '{"spec":{"workload":"web","scale":"small","nodes":5,"objects":5,"requests":400,"horizonMillis":7200000,"qos":[0.9]},"classes":["general"]}' | job_id)
+wait_done "$ID" 300
 
 echo "== served bounds match the serial sweep byte for byte =="
 for wl in web group; do
