@@ -166,6 +166,17 @@ func compile(req *JobRequest) (*jobPlan, error) {
 		if req.Topology.N != req.Trace.NumNodes {
 			return nil, badRequestf("topology has %d nodes, trace has %d", req.Topology.N, req.Trace.NumNodes)
 		}
+		// Decoded bodies are valid by construction; a Go literal is not,
+		// and building a malformed one would panic the job's worker.
+		if err := req.Trace.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: %v", errBadRequest, err)
+		}
+		if len(req.Topology.Latency) != req.Topology.N {
+			return nil, badRequestf("topology has %d nodes but %d latency rows", req.Topology.N, len(req.Topology.Latency))
+		}
+		if _, err := topology.NewFromMatrix(req.Topology.Latency, req.Topology.Origin); err != nil {
+			return nil, fmt.Errorf("%w: %v", errBadRequest, err)
+		}
 		if req.DeltaMillis <= 0 {
 			return nil, badRequestf("deltaMillis must be positive for an explicit system")
 		}

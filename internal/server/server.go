@@ -130,6 +130,12 @@ func (s *Server) Submit(req *JobRequest) (*Job, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	return s.enqueue(plan)
+}
+
+// enqueue queues a compiled plan, or attaches to the live job that
+// already answers it.
+func (s *Server) enqueue(plan *jobPlan) (*Job, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -240,8 +246,7 @@ func (s *Server) runJob(j *Job) {
 		return // canceled while queued; Cancel already accounted for it
 	}
 	var (
-		fig   *experiments.Figure
-		shard dist.ShardJob
+		fig *experiments.Figure
 		// Only freshly solved columns count as this process's solver
 		// effort: store-served columns keep their original Stats for the
 		// TSV footer (byte-identity), but a restarted coordinator that
@@ -249,16 +254,24 @@ func (s *Server) runJob(j *Job) {
 		// lp_* counters.
 		fresh lp.StatsCollector
 	)
-	sys, err := j.plan.Build()
-	if err == nil {
-		shard, err = dist.NewShard(j.plan.Statement, sys, cmp.Or(j.plan.SolveTimeout, s.cfg.SolveTimeout))
-	}
-	if err == nil {
+	err := func() (err error) {
+		defer recoverJob(&err)
+		sys, err := j.plan.Build()
+		if err != nil {
+			return err
+		}
+		shard, err := dist.NewShard(j.plan.Statement, sys, cmp.Or(j.plan.SolveTimeout, s.cfg.SolveTimeout))
+		if err != nil {
+			return err
+		}
 		opts := experiments.Options{
 			Parallel: s.cfg.Parallel,
 			Ctx:      j.ctx,
 			OnCell:   j.setProgress,
-			ColumnSolver: func(ctx context.Context, class string, _ []float64) ([]experiments.Point, error) {
+			// Columns solve on the sweep's goroutines, out of reach of
+			// the recover above, so each recovers its own panic.
+			ColumnSolver: func(ctx context.Context, class string, _ []float64) (pts []experiments.Point, err error) {
+				defer recoverJob(&err)
 				col := shard
 				col.Class = class
 				pts, fromStore, err := s.cfg.Coordinator.SolveColumn(ctx, col)
@@ -277,7 +290,8 @@ func (s *Server) runJob(j *Job) {
 			},
 		}
 		fig, err = j.plan.run(sys, opts)
-	}
+		return err
+	}()
 	state := j.finish(fig, err, time.Now())
 	switch state {
 	case StateDone:
@@ -299,6 +313,15 @@ func (s *Server) runJob(j *Job) {
 	elapsed := j.finished.Sub(j.started)
 	j.mu.Unlock()
 	s.metrics.duration.observe(elapsed.Seconds())
+}
+
+// recoverJob, deferred on a goroutine that works for a job, turns a panic
+// into the job's error, so one bad job fails alone instead of exiting
+// placementd with every other queued and running job.
+func recoverJob(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("panic: %v", r)
+	}
 }
 
 // Drain gracefully shuts the server down: new submissions are rejected,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"wideplace/internal/dist"
 	"wideplace/internal/experiments"
 	"wideplace/internal/scenario"
 	"wideplace/internal/topology"
@@ -499,4 +501,72 @@ func TestJobEndpoints(t *testing.T) {
 			t.Errorf("%s %s = %d, want %d", c.method, c.path, resp.StatusCode, c.want)
 		}
 	}
+}
+
+// hostileLiterals are explicit systems that no JSON body can state,
+// because decoding validates both halves, but a Go caller of Submit can:
+// an access at node 5 of a 2-node trace, which panics in workload.bucket
+// when the system is built, and a 2-node topology without a latency
+// matrix, which panics in topology.Dist when Figure 1 reads it.
+func hostileLiterals(t *testing.T) map[string]*JobRequest {
+	t.Helper()
+	topo, err := topology.NewFromMatrix([][]float64{{0, 10}, {10, 0}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := func(accs ...workload.Access) *workload.Trace {
+		return &workload.Trace{Accesses: accs, NumNodes: 2, NumObjects: 1, Duration: time.Hour}
+	}
+	return map[string]*JobRequest{
+		"access at node 5 of 2": {
+			Topology: topo, Trace: trace(workload.Access{Node: 5}),
+			DeltaMillis: 3_600_000, QoS: []float64{0.9},
+		},
+		"topology without latencies": {
+			Topology: &topology.Topology{N: 2}, Trace: trace(workload.Access{Node: 1}),
+			DeltaMillis: 3_600_000, QoS: []float64{0.9},
+		},
+	}
+}
+
+// TestHostileLiteralsAreBadRequests: Submit validates an explicit system
+// stated as Go values as strictly as the decoder validates a body.
+func TestHostileLiteralsAreBadRequests(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, Parallel: 1})
+	for name, req := range hostileLiterals(t) {
+		if _, _, err := s.Submit(req); !errors.Is(err, errBadRequest) {
+			t.Errorf("%s: Submit returned %v, want a bad request", name, err)
+		}
+	}
+}
+
+// TestPanickingJobsFailAlone: a job whose build panics ends failed with
+// the panic as its error, is counted as failed, and leaves the server
+// able to complete a normal job. The plans skip compile, which would
+// reject them, to reach the worker.
+func TestPanickingJobsFailAlone(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Parallel: 1})
+	for name, req := range hostileLiterals(t) {
+		plan := &jobPlan{
+			Statement: dist.Statement{
+				Topology: req.Topology, Trace: req.Trace,
+				DeltaMillis: req.DeltaMillis, Tlat: 150, QoS: req.QoS,
+			},
+			key: name,
+		}
+		j, _, err := s.enqueue(plan)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := waitState(t, ts, j.id, time.Minute, StateFailed)
+		t.Logf("%s: %s", name, got.Error)
+		if !strings.HasPrefix(got.Error, "panic:") {
+			t.Errorf("%s: job failed with %q, want a recovered panic", name, got.Error)
+		}
+	}
+	if got := metricValue(t, getMetrics(t, ts), `placementd_jobs_finished_total{state="failed"}`); got != "2" {
+		t.Errorf("failed jobs = %s, want 2", got)
+	}
+	v, _ := postJob(t, ts, tinyJob)
+	waitState(t, ts, v.ID, time.Minute, StateDone)
 }

@@ -10,11 +10,12 @@ import (
 // paper's GROUP shape — 20 nodes, 1000 objects, 24h horizon — at a tenth of
 // the published volume and at the full 16M requests:
 //
-//	go test ./internal/workload/ -bench BenchmarkGroup -benchtime 1x
+//	go test ./internal/workload/ -bench BenchmarkGroup -benchtime 1x -cpu 1,2
 //
-// Materialized holds the full access slice; Stream aggregates in one pass
-// over bounded chunks. ReportAllocs makes the peak-memory story visible as
-// allocated bytes per op.
+// Materialized holds the full access slice; Stream aggregates bounded
+// chunks drawn on GOMAXPROCS goroutines, so -cpu sets its generator count.
+// ReportAllocs makes the peak-memory story visible as allocated bytes per
+// op.
 
 var benchVolumes = []int{1_600_000, 16_000_000}
 

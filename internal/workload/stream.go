@@ -2,44 +2,83 @@ package workload
 
 // The streaming trace path. A Stream is a deterministic access producer:
 // the same generator distributions and seed that back GenerateWeb and
-// GenerateGroup, exposed one bounded chunk at a time instead of as a
-// materialized []Access. Stream.Counts aggregates the whole trace into
-// bucketed Counts in one pass — O(nodes x intervals x objects) memory, not
+// GenerateGroup, drawn in bounded chunks instead of as a materialized
+// []Access. Stream.Counts aggregates the whole trace into bucketed Counts
+// without holding it — O(nodes x intervals x objects) memory, not
 // O(requests) — which is what lets the paper's GROUP workload run at its
-// full 16M-request scale. Materialize() recovers the exact Trace the
-// generators produce (same draws, same sort), so the two paths are
-// identical by construction and the differential tests hold bit for bit.
+// full 16M-request scale, and it draws the chunks on every core by
+// skipping the generators ahead to each chunk's first access.
+// Materialize() recovers the exact Trace the generators produce (same
+// draws, same sort) in one sequential pass, so the two paths are identical
+// by construction and the differential tests hold bit for bit.
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"wideplace/internal/xrand"
 )
 
-// streamChunk is the bounded buffer size used by the one-pass aggregator.
-// 64K accesses x 32 bytes = 2 MiB regardless of trace length.
-const streamChunk = 1 << 16
+// streamChunk is the number of accesses one generator draws into one
+// buffer before handing it to the aggregator: 16Ki accesses x 32 bytes =
+// 512 KiB.
+const streamChunk = 1 << 14
+
+// streamBuffers is the number of chunk buffers Counts keeps in flight,
+// whatever the generator count: 4 x 512 KiB = 2 MiB regardless of trace
+// length, room for two generators to fill while the aggregator buckets.
+// More generators than free buffers wait for one.
+const streamBuffers = 4
 
 // writeSalt decorrelates the write-flag RNG from the draw RNG when both
 // derive from the same spec seed (an unsalted pair would emit identical
 // sequences, making "is a write" a function of the access time).
 const writeSalt = 0x77726974 // "writ"
 
-// Stream produces a workload's accesses in generation order, chunk by
-// chunk. It is single-use and not safe for concurrent use; obtain one from
-// StreamWeb, StreamGroup, StreamFlashCrowd or StreamDiurnal.
+// Stream is a workload's access sequence in generation order, drawn on
+// demand from seeded generators that can start at any access. It is
+// single-use (Counts or Materialize consumes it) and not safe for
+// concurrent use; obtain one from StreamWeb, StreamGroup,
+// StreamFlashCrowd or StreamDiurnal.
 type Stream struct {
 	nodes    int
 	objects  int
 	requests int
 	duration time.Duration
-	pos      int
-	// fill draws the accesses pos, pos+1, ... into buf, in order. One call
-	// per chunk keeps the per-access draw free of indirect calls.
-	fill func(buf []Access, pos int)
+	consumed bool
+	// rng and wrng are the draw and write-flag generators as they stand
+	// before access 0; wrng is nil when the stream flags no writes.
+	rng  xrand.Rand
+	wrng *xrand.Rand
+	// fill draws the accesses pos, pos+1, ... into buf, in order, from rng
+	// and wrng positioned at access pos. One call per chunk keeps the
+	// per-access draw free of indirect calls.
+	//
+	// Every model keeps one invariant, which is what lets Counts start a
+	// chunk anywhere: each access takes exactly 3 draws from rng, and 1
+	// from wrng when wrng is not nil. Access pos therefore starts at draw
+	// 3*pos of rng and draw pos of wrng, whichever branch earlier accesses
+	// took.
+	fill func(buf []Access, pos int, rng, wrng *xrand.Rand)
+}
+
+// generatorsAt returns fresh copies of the stream's generators skipped
+// ahead to access pos, leaving the stream's own untouched.
+func (s *Stream) generatorsAt(pos int) (rng, wrng *xrand.Rand) {
+	r := s.rng
+	r.Skip(3 * uint64(pos))
+	rng = &r
+	if s.wrng != nil {
+		w := *s.wrng
+		w.Skip(uint64(pos))
+		wrng = &w
+	}
+	return rng, wrng
 }
 
 // Nodes returns the site count of the workload.
@@ -54,70 +93,87 @@ func (s *Stream) Requests() int { return s.requests }
 // Duration returns the trace horizon.
 func (s *Stream) Duration() time.Duration { return s.duration }
 
-// Next fills buf with the following accesses in generation order (not time
-// order) and returns how many it wrote; zero means the stream is drained.
-func (s *Stream) Next(buf []Access) int {
-	n := len(buf)
-	if left := s.requests - s.pos; n > left {
-		n = left
-	}
-	s.fill(buf[:n], s.pos)
-	s.pos += n
-	return n
-}
-
 // Materialize drains the stream into a sorted Trace — exactly the Trace
 // the corresponding Generate* function returns for the same options.
+// It fills the accesses in one sequential pass, which makes it the
+// reference the skipped-ahead chunks of Counts are checked against.
 func (s *Stream) Materialize() (*Trace, error) {
-	if s.pos != 0 {
+	if s.consumed {
 		return nil, errors.New("workload: stream already consumed")
 	}
+	s.consumed = true
 	tr := &Trace{
 		Accesses:   make([]Access, s.requests),
 		NumNodes:   s.nodes,
 		NumObjects: s.objects,
 		Duration:   s.duration,
 	}
-	s.fill(tr.Accesses, 0)
-	s.pos = s.requests
+	rng, wrng := s.generatorsAt(0)
+	s.fill(tr.Accesses, 0, rng, wrng)
 	sortAccesses(tr.Accesses)
 	return tr, nil
 }
 
 // Counts drains the stream and buckets it into evaluation intervals of
-// length delta in one pass, without ever holding the raw accesses: the
-// only allocations are one chunk buffer and the count tensors, which it
-// returns as they are. The result is identical to
-// Materialize().Bucket(delta) — bucketing is a sum, so the sort the
-// materialized path performs cannot change it.
+// length delta without ever holding the raw accesses: the only
+// allocations are the count tensors, which it returns as they are, and
+// streamBuffers chunk buffers. The trace is cut into chunks of
+// streamChunk accesses that min(GOMAXPROCS, chunks) goroutines claim in
+// turn and draw from generators skipped ahead to the chunk's first access,
+// while the calling goroutine buckets each filled chunk. The result is
+// identical to Materialize().Bucket(delta): every chunk holds the accesses
+// the sequential fill draws at its positions, and bucketing is an integer
+// sum, so neither the order chunks finish in nor the sort the
+// materialized path performs can change a count.
 func (s *Stream) Counts(delta time.Duration) (*Counts, error) {
-	if s.pos != 0 {
+	if s.consumed {
 		return nil, errors.New("workload: stream already consumed")
 	}
 	ni, err := Intervals(s.nodes, s.objects, s.duration, delta)
 	if err != nil {
 		return nil, err
 	}
+	s.consumed = true
 	c := &Counts{
 		Nodes: s.nodes, Intervals: ni, Objects: s.objects, Delta: delta,
 		Reads:  alloc3(s.nodes, ni, s.objects),
 		Writes: alloc3(s.nodes, ni, s.objects),
 	}
-	chunk := streamChunk
-	if s.requests < chunk {
-		chunk = s.requests
+	chunks := (s.requests + streamChunk - 1) / streamChunk
+	// Every buffer sits in free or full or is held by one goroutine, so
+	// neither channel's send can block.
+	free := make(chan []Access, streamBuffers)
+	full := make(chan []Access, streamBuffers)
+	for range min(streamBuffers, chunks) {
+		free <- make([]Access, min(streamChunk, s.requests))
 	}
-	if chunk == 0 {
-		chunk = 1
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), chunks) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				// A chunk is claimed before a buffer is taken, so every
+				// claimed chunk is filled and every taken buffer comes back.
+				k := int(next.Add(1)) - 1
+				if k >= chunks {
+					return
+				}
+				pos := k * streamChunk
+				buf := (<-free)[:min(streamChunk, s.requests-pos)]
+				rng, wrng := s.generatorsAt(pos)
+				s.fill(buf, pos, rng, wrng)
+				full <- buf
+			}
+		}()
 	}
-	buf := make([]Access, chunk)
-	for {
-		n := s.Next(buf)
-		if n == 0 {
-			break
-		}
-		bucket(c.Reads, c.Writes, buf[:n], delta, ni)
+	for range chunks {
+		buf := <-full
+		bucket(c.Reads, c.Writes, buf, delta, ni)
+		free <- buf[:cap(buf)]
 	}
+	wg.Wait()
 	return c, nil
 }
 
@@ -145,9 +201,7 @@ func newStream(s genSpec) (*Stream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: site activity: %w", err)
 	}
-	rng := xrand.New(s.seed)
-	wrng := writeRNG(s.seed, s.writeFraction)
-	fill := func(buf []Access, _ int) {
+	fill := func(buf []Access, _ int, rng, wrng *xrand.Rand) {
 		for j := range buf {
 			a := Access{
 				At:     time.Duration(rng.Float64() * float64(s.duration)),
@@ -161,6 +215,7 @@ func newStream(s genSpec) (*Stream, error) {
 	return &Stream{
 		nodes: s.nodes, objects: s.objects, requests: s.requests,
 		duration: s.duration, fill: fill,
+		rng: *xrand.New(s.seed), wrng: writeRNG(s.seed, s.writeFraction),
 	}, nil
 }
 
@@ -282,11 +337,9 @@ func StreamFlashCrowd(opts FlashCrowdOptions) (*Stream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: site activity: %w", err)
 	}
-	rng := xrand.New(opts.Seed)
 	crowd := int(math.Round(opts.CrowdShare * float64(opts.Requests)))
 	base := opts.Requests - crowd
-	wrng := writeRNG(opts.Seed, opts.WriteFraction)
-	fill := func(buf []Access, pos int) {
+	fill := func(buf []Access, pos int, rng, wrng *xrand.Rand) {
 		for j := range buf {
 			var a Access
 			if pos+j < base {
@@ -296,6 +349,7 @@ func StreamFlashCrowd(opts FlashCrowdOptions) (*Stream, error) {
 					Object: objs.index(rng.Float64()),
 				}
 			} else {
+				// One Float64 and two Intn: 3 draws, as in the baseline.
 				a = Access{
 					At:     opts.CrowdStart + time.Duration(rng.Float64()*float64(opts.CrowdWidth)),
 					Node:   rng.Intn(opts.Nodes),
@@ -309,6 +363,7 @@ func StreamFlashCrowd(opts FlashCrowdOptions) (*Stream, error) {
 	return &Stream{
 		nodes: opts.Nodes, objects: opts.Objects, requests: opts.Requests,
 		duration: opts.Duration, fill: fill,
+		rng: *xrand.New(opts.Seed), wrng: writeRNG(opts.Seed, opts.WriteFraction),
 	}, nil
 }
 
@@ -361,11 +416,9 @@ func StreamDiurnal(opts DiurnalOptions) (*Stream, error) {
 			return nil, fmt.Errorf("workload: site activity: %w", err)
 		}
 	}
-	rng := xrand.New(opts.Seed)
 	// With drift, rank rotation advances once per zone-step of the cycle.
 	driftStep := opts.Period / time.Duration(opts.Zones)
-	wrng := writeRNG(opts.Seed, opts.WriteFraction)
-	fill := func(buf []Access, _ int) {
+	fill := func(buf []Access, _ int, rng, wrng *xrand.Rand) {
 		for j := range buf {
 			at := time.Duration(rng.Float64() * float64(opts.Duration))
 			step := int((at % opts.Period) / stepLen)
@@ -384,5 +437,6 @@ func StreamDiurnal(opts DiurnalOptions) (*Stream, error) {
 	return &Stream{
 		nodes: opts.Nodes, objects: opts.Objects, requests: opts.Requests,
 		duration: opts.Duration, fill: fill,
+		rng: *xrand.New(opts.Seed), wrng: writeRNG(opts.Seed, opts.WriteFraction),
 	}, nil
 }

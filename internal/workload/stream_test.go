@@ -138,54 +138,55 @@ func TestStreamMaterializeMatchesGenerate(t *testing.T) {
 	}
 }
 
-// TestStreamChunkInvariance aggregates via Next with a deliberately odd
-// buffer size and checks the result matches Counts (which uses its own
-// chunking): the chunk boundary must never leak into the numbers.
-func TestStreamChunkInvariance(t *testing.T) {
-	opts := WebOptions{Nodes: 4, Objects: 16, Requests: 5000, Duration: 4 * time.Hour, Seed: 3, WriteFraction: 0.25}
-	a, err := StreamWeb(opts)
-	if err != nil {
-		t.Fatal(err)
+// TestStreamCountsAcrossChunksAndGenerators is the differential for the
+// parallel aggregator: every model, writes on where the model has them,
+// streamed over more chunks than there are buffers and a partial last
+// chunk, at several generator counts, must count exactly what the
+// sequential Materialize fill buckets to. Not parallel: it sets
+// GOMAXPROCS, which is process-wide.
+func TestStreamCountsAcrossChunksAndGenerators(t *testing.T) {
+	const requests = (streamBuffers+1)*streamChunk + 4321
+	const delta = time.Hour
+	streams := map[string]func() (*Stream, error){
+		"web": func() (*Stream, error) {
+			return StreamWeb(WebOptions{Nodes: 6, Objects: 40, Requests: requests, Duration: 6 * time.Hour, Seed: 21, WriteFraction: 0.2})
+		},
+		"group": func() (*Stream, error) {
+			return StreamGroup(GroupOptions{Nodes: 5, Objects: 30, Requests: requests, Duration: 5 * time.Hour, Seed: 22})
+		},
+		"flash-crowd": func() (*Stream, error) {
+			return StreamFlashCrowd(FlashCrowdOptions{Nodes: 7, Objects: 25, Requests: requests, Duration: 8 * time.Hour, Seed: 23, WriteFraction: 0.1})
+		},
+		"diurnal": func() (*Stream, error) {
+			return StreamDiurnal(DiurnalOptions{Nodes: 8, Objects: 20, Requests: requests, Duration: 24 * time.Hour, Seed: 24, ObjectDrift: true, WriteFraction: 0.05})
+		},
 	}
-	want, err := a.Counts(30 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := StreamWeb(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := alloc3(b.Nodes(), want.Intervals, b.Objects())
-	writes := alloc3(b.Nodes(), want.Intervals, b.Objects())
-	buf := make([]Access, 7) // deliberately not a divisor of Requests
-	total := 0
-	for {
-		n := b.Next(buf)
-		if n == 0 {
-			break
+	want := make(map[string]*Counts)
+	for name, stream := range streams {
+		tr, err := materialized(stream())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		total += n
-		for _, acc := range buf[:n] {
-			i := int(acc.At / (30 * time.Minute))
-			if i >= want.Intervals {
-				i = want.Intervals - 1
-			}
-			if acc.Write {
-				writes[acc.Node][i][acc.Object]++
-			} else {
-				reads[acc.Node][i][acc.Object]++
-			}
+		if want[name], err = tr.Bucket(delta); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if total != opts.Requests {
-		t.Fatalf("stream produced %d accesses, want %d", total, opts.Requests)
-	}
-	got := &Counts{
-		Reads: reads, Writes: writes,
-		Nodes: b.Nodes(), Intervals: want.Intervals, Objects: b.Objects(), Delta: 30 * time.Minute,
-	}
-	if !got.Equal(want) {
-		t.Error("chunk-size-7 aggregation differs from Stream.Counts")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for name, stream := range streams {
+			st, err := stream()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, err := st.Counts(delta)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", name, procs, err)
+			}
+			if !got.Equal(want[name]) {
+				t.Errorf("%s at GOMAXPROCS %d: streamed counts differ from the materialized bucket", name, procs)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,11 @@
 // state or version-dependent algorithms.
 package xrand
 
+import (
+	"math/bits"
+	"sync"
+)
+
 // Rand is a SplitMix64-seeded xorshift64* generator. The zero value is not
 // valid; construct with New.
 type Rand struct {
@@ -26,11 +31,61 @@ func New(seed uint64) *Rand {
 
 // Uint64 returns the next raw 64-bit value.
 func (r *Rand) Uint64() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
+	r.s = step(r.s)
 	return r.s * 0x2545f4914f6cdd1d
 }
+
+// step is the xorshift state transition. Each shift-and-xor is linear
+// over GF(2), so step is a 64x64 bit matrix T applied to the state.
+func step(s uint64) uint64 {
+	s ^= s << 13
+	s ^= s >> 7
+	s ^= s << 17
+	return s
+}
+
+// Skip advances the generator by n draws: afterwards it returns what it
+// would have after n calls of Uint64. It costs O(log n) matrix-vector
+// products, one per set bit of n, with the powers T^(2^b) of the state
+// transition (Haramoto et al., "Efficient Jump Ahead for F2-Linear Random
+// Number Generators", 2008). Powers of one matrix commute, so the bits
+// can be applied in any order.
+func (r *Rand) Skip(n uint64) {
+	jumps := jumpTable()
+	for b := 0; n != 0; b, n = b+1, n>>1 {
+		if n&1 != 0 {
+			r.s = jumps[b].apply(r.s)
+		}
+	}
+}
+
+// bitMatrix is a 64x64 matrix over GF(2) stored by column: column i is
+// the image of the state with only bit i set.
+type bitMatrix [64]uint64
+
+// apply returns m·v, the xor of the columns that v's set bits select.
+func (m *bitMatrix) apply(v uint64) uint64 {
+	var out uint64
+	for ; v != 0; v &= v - 1 {
+		out ^= m[bits.TrailingZeros64(v)]
+	}
+	return out
+}
+
+// jumpTable holds T^(2^b) for b = 0..63, built on first use by squaring:
+// column i of M·M is M applied to column i of M.
+var jumpTable = sync.OnceValue(func() *[64]bitMatrix {
+	var t [64]bitMatrix
+	for i := range t[0] {
+		t[0][i] = step(1 << i)
+	}
+	for b := 1; b < len(t); b++ {
+		for i := range t[b] {
+			t[b][i] = t[b-1].apply(t[b-1][i])
+		}
+	}
+	return &t
+})
 
 // Float64 returns a uniform value in [0, 1).
 func (r *Rand) Float64() float64 {

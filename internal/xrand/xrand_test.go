@@ -115,3 +115,57 @@ func TestPermIsPermutation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSkipMatchesStepping: Skip(n) lands on the state n calls of Uint64
+// reach, from a run of small and large n that crosses several bits of
+// the jump table, on several seeds.
+func TestSkipMatchesStepping(t *testing.T) {
+	ns := []uint64{0, 1, 2, 3, 63, 64, 1000, 48_000_001}
+	for _, seed := range []uint64{0, 1, 42, 0xdeadbeef} {
+		ref := New(seed)
+		var stepped uint64
+		for _, n := range ns {
+			for ; stepped < n; stepped++ {
+				ref.Uint64()
+			}
+			r := New(seed)
+			r.Skip(n)
+			if got, want := r.Uint64(), ref.Uint64(); got != want {
+				t.Errorf("seed %d: after Skip(%d) drew %#x, after %d steps %#x", seed, n, got, n, want)
+			}
+			stepped++
+		}
+	}
+}
+
+// TestSkipComposes: Skip(a) then Skip(b) equals Skip(a+b).
+func TestSkipComposes(t *testing.T) {
+	check := func(seed uint64, a, b uint32) bool {
+		x, y := New(seed), New(seed)
+		x.Skip(uint64(a))
+		x.Skip(uint64(b))
+		y.Skip(uint64(a) + uint64(b))
+		return x.Uint64() == y.Uint64()
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzSkip checks Skip(n) against n sequential steps for n up to 2^16.
+func FuzzSkip(f *testing.F) {
+	f.Add(uint64(0), uint64(0))
+	f.Add(uint64(7), uint64(1))
+	f.Add(uint64(99), uint64(1<<16))
+	f.Fuzz(func(t *testing.T, seed, n uint64) {
+		n %= 1<<16 + 1
+		ref, r := New(seed), New(seed)
+		for i := uint64(0); i < n; i++ {
+			ref.Uint64()
+		}
+		r.Skip(n)
+		if got, want := r.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("seed %d: after Skip(%d) drew %#x, want %#x", seed, n, got, want)
+		}
+	})
+}
