@@ -33,7 +33,8 @@ func benchSystem(b *testing.B, kind experiments.WorkloadKind, qos ...float64) *e
 	if len(qos) > 0 {
 		spec.QoS = qos
 	}
-	res, err := scenario.Compile(spec)
+	// Keep the trace: the simulator benchmarks replay it.
+	res, err := scenario.CompileWith(spec, scenario.CompileOptions{Streaming: scenario.StreamOff})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func run(args []string, stdout io.Writer) error {
 		tqos         = fs.Float64("tqos", 0.95, "per-user QoS goal fraction each interval's placement must meet")
 		reactive     = fs.Bool("reactive", false, "plan each interval from the previous interval's demand (default: clairvoyant lookahead)")
 		intervalsCap = fs.Int("intervals", 0, "replay only the first N intervals (0 = all)")
-		deltaFlag    = fs.Duration("delta", 0, "control period: re-bucket the trace at this interval (0 = the scenario's own)")
+		deltaFlag    = fs.Duration("delta", 0, "control period, a whole number of milliseconds: compile the scenario at this interval (0 = the scenario's own)")
 		simFlag      = fs.Bool("sim", false, "score the controller's trajectory against LRU/LFU caching in simulation")
 		cacheFlag    = fs.Int("cache", 4, "per-node cache capacity of the LRU/LFU baselines under -sim")
 	)
@@ -60,8 +60,8 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("missing -scenario")
 	case *intervalsCap < 0:
 		return fmt.Errorf("-intervals %d is negative (0 = all)", *intervalsCap)
-	case *deltaFlag < 0:
-		return fmt.Errorf("-delta %v is negative (0 = the scenario's own)", *deltaFlag)
+	case *deltaFlag < 0 || *deltaFlag%time.Millisecond != 0:
+		return fmt.Errorf("-delta %v is not a non-negative whole number of milliseconds (0 = the scenario's own)", *deltaFlag)
 	case *cacheFlag < 0:
 		return fmt.Errorf("-cache %d is negative", *cacheFlag)
 	}
@@ -69,21 +69,19 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := cli.ResolveScenario(scn, "controller", cli.ScenarioOptions{}, os.Stderr)
+	if *deltaFlag > 0 {
+		scn.DeltaMillis = deltaFlag.Milliseconds()
+	}
+	var opts cli.ScenarioOptions
+	if *simFlag {
+		opts.Streaming = scenario.StreamOff // the simulator replays the trace
+	}
+	res, err := cli.ResolveScenario(scn, "controller", opts, os.Stderr)
 	if err != nil {
 		return err
 	}
 	sys := res.System
-	counts := sys.Counts
-	if *deltaFlag > 0 {
-		if sys.Trace == nil {
-			return fmt.Errorf("-delta re-bucketing needs the raw trace; scenario %s compiled in streaming mode (counts only)", res.Spec.Name)
-		}
-		if counts, err = sys.Trace.Bucket(*deltaFlag); err != nil {
-			return err
-		}
-	}
-	counts = counts.Truncate(*intervalsCap)
+	counts := sys.Counts.Truncate(*intervalsCap)
 	cfg := controller.Config{
 		Topo: sys.Topo,
 		Cost: core.DefaultCost(),

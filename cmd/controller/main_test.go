@@ -57,6 +57,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"unknown scenario", []string{"-scenario", "no-such-scenario"}, "no-such-scenario"},
 		{"negative intervals", []string{"-scenario", "diurnal-shift", "-intervals", "-2"}, "-intervals"},
 		{"negative delta", []string{"-scenario", "diurnal-shift", "-delta", "-1h"}, "-delta"},
+		{"sub-millisecond delta", []string{"-scenario", "diurnal-shift", "-delta", "1500us"}, "whole number of milliseconds"},
 		{"negative cache", []string{"-scenario", "diurnal-shift", "-cache", "-3", "-sim"}, "-cache"},
 	}
 	for _, c := range cases {

@@ -13,6 +13,7 @@ import (
 
 	"wideplace/internal/cli"
 	"wideplace/internal/experiments"
+	"wideplace/internal/scenario"
 )
 
 func main() {
@@ -41,7 +42,8 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	compiled, err := cli.ResolveScenario(scn, "simulate", cli.ScenarioOptions{}, os.Stderr)
+	// Figure 2 replays individual accesses, so keep the trace.
+	compiled, err := cli.ResolveScenario(scn, "simulate", cli.ScenarioOptions{Streaming: scenario.StreamOff}, os.Stderr)
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,6 @@
 //	stress -scenarios flash-crowd -sizes 20,50    # one family, short ladder
 //	stress -scenarios slow-scenario@100           # skip this scenario's rungs above 100 sites
 //	stress -out results/                          # write the TSVs elsewhere
-//	stress -stream on                             # force the streamed compile path at any size
 //
 // A scenario reference may carry an "@maxSites" suffix capping the ladder
 // for that scenario alone — scenarios whose cost grows with request volume
@@ -71,17 +70,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		parallel    = fs.Int("parallel", 0, "concurrent bound solves (0 = GOMAXPROCS, 1 = serial)")
 		solveCap    = fs.Duration("solve-timeout", 0, "wall-clock cap per LP solve (0 = unlimited)")
 		verbose     = fs.Bool("v", false, "print per-bound progress (incl. solver stats) to stderr")
-		reqFlag     = fs.Int("requests", 0, "override every scenario's request volume (0 = keep each spec's; large volumes compile via the streaming path)")
-		streamFlag  = fs.String("stream", "auto", "workload compile path: auto (stream past the size threshold), on (always stream, no materialized trace) or off")
+		reqFlag     = fs.Int("requests", 0, "override every scenario's request volume (0 = keep each spec's; accesses stream into counts, so volume costs time, not memory)")
 		xcheckAbove = fs.Int("xcheck-above", 250, "cross-check rungs with at least this many sites against the Lagrangian bound engine (0 = never)")
 		xcheckExact = fs.Bool("xcheck-exact", true, "on tree rungs, verify LP bound <= exact DP optimum <= certificate for every supported cell")
 	)
 	lpFlags := cli.RegisterLPFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	streaming, err := parseStreaming(*streamFlag)
-	if err != nil {
 		return err
 	}
 
@@ -147,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				continue
 			}
 			start := time.Now()
-			res, err := cli.ResolveScenario(base, "stress", cli.ScenarioOptions{Nodes: n, Requests: *reqFlag, Streaming: streaming}, stderr)
+			res, err := cli.ResolveScenario(base, "stress", cli.ScenarioOptions{Nodes: n, Requests: *reqFlag}, stderr)
 			if err != nil {
 				return fmt.Errorf("%s at %d nodes: %w", base.Name, n, err)
 			}
@@ -230,19 +224,6 @@ func parseSizes(s string) ([]int, error) {
 		return nil, fmt.Errorf("no ladder sizes in %q", s)
 	}
 	return out, nil
-}
-
-// parseStreaming maps the -stream flag onto the scenario compile modes.
-func parseStreaming(s string) (scenario.StreamingMode, error) {
-	switch s {
-	case "auto":
-		return scenario.StreamAuto, nil
-	case "on":
-		return scenario.StreamOn, nil
-	case "off":
-		return scenario.StreamOff, nil
-	}
-	return 0, fmt.Errorf("unknown -stream mode %q (want auto, on or off)", s)
 }
 
 // writeTSV lands a rung's TSV atomically: a crashed or interrupted run

@@ -136,33 +136,6 @@ func TestRunXCheckExactOff(t *testing.T) {
 	}
 }
 
-// TestRunStreamedRungByteIdentical: a WithNodes-rescaled GROUP rung
-// compiled through the streamed path (no materialized trace) must write
-// exactly the TSV the materialized path writes — streaming is a memory
-// optimization for big-N rungs, never a different answer.
-func TestRunStreamedRungByteIdentical(t *testing.T) {
-	read := func(mode string) []byte {
-		t.Helper()
-		dir := t.TempDir()
-		var out, errw strings.Builder
-		err := run([]string{"-scenarios", "remote-office-clustered", "-sizes", "10",
-			"-stream", mode, "-xcheck-exact=false", "-out", dir}, &out, &errw)
-		if err != nil {
-			t.Fatalf("run -stream %s: %v\nstderr: %s", mode, err, errw.String())
-		}
-		tsv, err := os.ReadFile(filepath.Join(dir, "stress_remote-office-clustered_n10.tsv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tsv
-	}
-	streamed, materialized := read("on"), read("off")
-	if string(streamed) != string(materialized) {
-		t.Fatalf("streamed rung TSV differs from materialized:\n--- off ---\n%s--- on ---\n%s",
-			materialized, streamed)
-	}
-}
-
 // TestRunRejectsBadFlags: flag errors surface instead of os.Exit-ing.
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out, errw strings.Builder
@@ -171,8 +144,5 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-no-such-flag"}, &out, &errw); err == nil {
 		t.Error("unknown flag accepted")
-	}
-	if err := run([]string{"-stream", "maybe"}, &out, &errw); err == nil {
-		t.Error("unknown -stream mode accepted")
 	}
 }

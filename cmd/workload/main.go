@@ -10,7 +10,7 @@
 //	workload gen-trace -workload web -objects 1000 > trace.json
 //	workload describe -trace trace.json
 //	workload scenarios                          # list the scenario registry
-//	workload compile -scenario flash-crowd      # materialize + self-check a scenario
+//	workload compile -scenario flash-crowd      # generate + self-check a scenario
 //	workload compile -scenario spec.json -topo topo.json -trace trace.json
 package main
 
@@ -61,16 +61,16 @@ func listScenarios(stdout io.Writer) error {
 	return nil
 }
 
-// compileScenario materializes a scenario, prints the self-checked
-// summary and optionally exports the generated topology and trace in the
-// same JSON formats gen-topology/gen-trace emit, closing the loop between
-// the declarative and the artifact-based workflows.
+// compileScenario compiles a scenario, prints the self-checked summary
+// and optionally exports the generated topology and trace in the same
+// JSON formats gen-topology/gen-trace emit, closing the loop between the
+// declarative and the artifact-based workflows. Only -trace keeps the
+// time-sorted trace; otherwise the accesses stream into counts.
 func compileScenario(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("compile", flag.ContinueOnError)
 	ref := fs.String("scenario", "", "registered scenario name or spec file (required)")
 	topoOut := fs.String("topo", "", "also write the generated topology JSON here")
 	traceOut := fs.String("trace", "", "also write the generated trace JSON here")
-	stream := fs.Bool("stream", false, "force the streaming (counts-only) compile path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -82,8 +82,8 @@ func compileScenario(args []string, stdout io.Writer) error {
 		return err
 	}
 	opts := scenario.CompileOptions{}
-	if *stream {
-		opts.Streaming = scenario.StreamOn
+	if *traceOut != "" {
+		opts.Streaming = scenario.StreamOff
 	}
 	res, err := scenario.CompileWith(spec, opts)
 	if err != nil {
@@ -93,12 +93,8 @@ func compileScenario(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "scenario:    %s (%s)\n", spec.Name, spec.Description)
 	fmt.Fprintf(stdout, "fingerprint: %s\n", res.Fingerprint)
 	fmt.Fprintf(stdout, "topology:    %s, %d nodes\n", spec.Topology.Model, sys.Topo.N)
-	mode := "materialized"
-	if res.Streamed {
-		mode = "streamed"
-	}
-	fmt.Fprintf(stdout, "workload:    %s, %d objects, %d requests over %v in %d intervals (%s)\n",
-		spec.Workload.Model, sys.Spec.Objects, sys.Spec.Requests, sys.Spec.Horizon, sys.Counts.Intervals, mode)
+	fmt.Fprintf(stdout, "workload:    %s, %d objects, %d requests over %v in %d intervals\n",
+		spec.Workload.Model, sys.Spec.Objects, sys.Spec.Requests, sys.Spec.Horizon, sys.Counts.Intervals)
 	fmt.Fprintf(stdout, "goal:        qos %v within %g ms\n", spec.QoS, spec.Tlat())
 	names := make([]string, len(res.Classes))
 	for i, c := range res.Classes {
@@ -114,9 +110,6 @@ func compileScenario(args []string, stdout io.Writer) error {
 		}
 	}
 	if *traceOut != "" {
-		if sys.Trace == nil {
-			return fmt.Errorf("compile: -trace export needs a materialized trace; this compile streamed")
-		}
 		if err := writeArtifact(*traceOut, sys.Trace.Write); err != nil {
 			return err
 		}

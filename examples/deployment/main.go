@@ -36,7 +36,7 @@ func run() error {
 
 	// Phase 1: where should servers go? The opening cost zeta makes every
 	// deployed site expensive, so the LP opens as few as possible.
-	dep, err := core.PlanDeployment(sys.Topo, sys.Trace, spec.Delta,
+	dep, err := core.PlanDeployment(sys.Topo, sys.Counts,
 		core.DefaultCost(), core.QoS(tqos, spec.Tlat), spec.Zeta, nil, core.BoundOptions{})
 	if err != nil {
 		return err

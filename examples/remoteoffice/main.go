@@ -35,7 +35,8 @@ func run(kind string) error {
 		return err
 	}
 	scn.QoS = []float64{0.90}
-	res, err := scenario.Compile(scn)
+	// Step 2 replays the trace in the simulator, so the compile keeps it.
+	res, err := scenario.CompileWith(scn, scenario.CompileOptions{Streaming: scenario.StreamOff})
 	if err != nil {
 		return err
 	}

@@ -30,8 +30,8 @@ type ScenarioOptions struct {
 	// the spec's). Applied after the Nodes rescale, so an explicit volume
 	// wins over the proportional one.
 	Requests int
-	// Streaming forces the compile path (default StreamAuto: stream past
-	// scenario.StreamingThreshold, materialize below it).
+	// Streaming is scenario.StreamOff for the tools that replay the
+	// trace in the simulator; the default compiles counts only.
 	Streaming scenario.StreamingMode
 }
 

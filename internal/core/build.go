@@ -35,11 +35,6 @@ type buildResult struct {
 	// which stay byte-identical to the historical model.
 	collectQoS bool
 	qosMeta    []qosRowMeta
-	// createRow[n][i][k] is the index of the create/continuity row
-	// (3)-(4), recorded only on rebindable builds (collectQoS) so an
-	// initial placement can be moved between solves by flipping the
-	// interval-0 right-hand sides; nil otherwise.
-	createRow [][][]int
 	// perturb is the tiny objective coefficient placed on store variables
 	// of capacity-charged (SC/RC) classes to break the massive dual
 	// degeneracy their zero store costs would otherwise cause. The solved
@@ -211,9 +206,6 @@ func (in *Instance) addPlacementCore(b *buildResult, class *Class) error {
 			}
 		}
 	}
-	if b.collectQoS {
-		b.createRow = allocIdx(nN, nI, nK)
-	}
 	for n := 0; n < nN; n++ {
 		if n == origin {
 			continue
@@ -231,10 +223,7 @@ func (in *Instance) addPlacementCore(b *buildResult, class *Class) error {
 				if cid := b.createIdx[n][i][k]; cid >= 0 {
 					coefs = append(coefs, lp.Coef{Var: cid, Value: -1})
 				}
-				row := m.AddLE(coefs, rhs, "")
-				if b.createRow != nil {
-					b.createRow[n][i][k] = row
-				}
+				m.AddLE(coefs, rhs, "")
 			}
 		}
 	}

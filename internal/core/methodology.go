@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"wideplace/internal/topology"
 	"wideplace/internal/workload"
@@ -104,12 +103,10 @@ type Deployment struct {
 	// Zeta * fractional open mass).
 	Phase1 *Bound
 	// Instance is the phase-2 instance over the reduced topology with the
-	// workload reassigned; run SelectHeuristic or CompareClasses on it.
+	// counts reassigned; run SelectHeuristic or CompareClasses on it.
 	Instance *Instance
 	// Topology is the reduced topology (indices renumbered to open order).
 	Topology *topology.Topology
-	// Trace is the reassigned workload trace.
-	Trace *workload.Trace
 }
 
 // PlanDeployment runs phase 1 of the Sec. 6.2 methodology: solve MC-PERF
@@ -120,14 +117,10 @@ type Deployment struct {
 // Site selection rounds the LP's open values greedily: sites are added in
 // decreasing fractional-openness order until every site's users can
 // attain the QoS goal on the reduced system, with the origin always open.
-func PlanDeployment(topo *topology.Topology, trace *workload.Trace, delta time.Duration,
+func PlanDeployment(topo *topology.Topology, counts *workload.Counts,
 	cost Cost, goal Goal, zeta float64, phase1Class *Class, opts BoundOptions) (*Deployment, error) {
 	if zeta <= 0 {
 		return nil, errors.New("core: deployment needs a positive opening cost")
-	}
-	counts, err := trace.Bucket(delta)
-	if err != nil {
-		return nil, err
 	}
 	p1cost := cost
 	p1cost.Zeta = zeta
@@ -186,7 +179,7 @@ func PlanDeployment(topo *topology.Topology, trace *workload.Trace, delta time.D
 	// Grow the open set until the goal is attainable on the reduced
 	// system (it may not be if the LP covered some demand fractionally).
 	for {
-		dep, err := buildReduced(topo, trace, delta, cost, goal, open)
+		dep, err := buildReduced(topo, counts, cost, goal, open)
 		if err == nil {
 			if attErr := dep.Instance.Attainable(phase1Class); attErr == nil {
 				dep.Phase1 = p1bound
@@ -216,18 +209,15 @@ func PlanDeployment(topo *topology.Topology, trace *workload.Trace, delta time.D
 	}
 }
 
-// buildReduced constructs the phase-2 reduced instance.
-func buildReduced(topo *topology.Topology, trace *workload.Trace, delta time.Duration,
+// buildReduced constructs the phase-2 reduced instance: each closed
+// site's counts move to the open site that now serves its users.
+func buildReduced(topo *topology.Topology, counts *workload.Counts,
 	cost Cost, goal Goal, open []int) (*Deployment, error) {
 	sub, assign, err := topo.Restrict(open)
 	if err != nil {
 		return nil, err
 	}
-	subTrace, err := trace.Reassign(assign, open)
-	if err != nil {
-		return nil, err
-	}
-	subCounts, err := subTrace.Bucket(delta)
+	subCounts, err := counts.Reassign(assign, open)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +230,6 @@ func buildReduced(topo *topology.Topology, trace *workload.Trace, delta time.Dur
 		Assignment: assign,
 		Instance:   inst,
 		Topology:   sub,
-		Trace:      subTrace,
 	}, nil
 }
 

@@ -9,7 +9,8 @@ import (
 	"wideplace/internal/workload"
 )
 
-func smallSystem(t *testing.T, seed uint64) (*topology.Topology, *workload.Trace) {
+// smallSystem returns an 8-site topology and a WEB trace bucketed hourly.
+func smallSystem(t *testing.T, seed uint64) (*topology.Topology, *workload.Counts) {
 	t.Helper()
 	tp, err := topology.Generate(topology.GenOptions{N: 8, Seed: seed})
 	if err != nil {
@@ -21,15 +22,15 @@ func smallSystem(t *testing.T, seed uint64) (*topology.Topology, *workload.Trace
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tp, tr
-}
-
-func TestSelectHeuristic(t *testing.T) {
-	tp, tr := smallSystem(t, 21)
 	counts, err := tr.Bucket(time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tp, counts
+}
+
+func TestSelectHeuristic(t *testing.T) {
+	tp, counts := smallSystem(t, 21)
 	inst, err := NewInstance(tp, counts, DefaultCost(), QoS(0.9, 150))
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +65,8 @@ func TestSelectHeuristic(t *testing.T) {
 }
 
 func TestPlanDeployment(t *testing.T) {
-	tp, tr := smallSystem(t, 33)
-	dep, err := PlanDeployment(tp, tr, time.Hour, DefaultCost(), QoS(0.7, 150), 50, nil, BoundOptions{})
+	tp, counts := smallSystem(t, 33)
+	dep, err := PlanDeployment(tp, counts, DefaultCost(), QoS(0.7, 150), 50, nil, BoundOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestPlanDeployment(t *testing.T) {
 	}
 	// A high opening cost must never open more sites than a low one needs:
 	// compare against a very high zeta.
-	depHigh, err := PlanDeployment(tp, tr, time.Hour, DefaultCost(), QoS(0.7, 150), 1e7, nil, BoundOptions{})
+	depHigh, err := PlanDeployment(tp, counts, DefaultCost(), QoS(0.7, 150), 1e7, nil, BoundOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +105,8 @@ func TestPlanDeployment(t *testing.T) {
 }
 
 func TestPlanDeploymentRejectsZeroZeta(t *testing.T) {
-	tp, tr := smallSystem(t, 5)
-	if _, err := PlanDeployment(tp, tr, time.Hour, DefaultCost(), QoS(0.9, 150), 0, nil, BoundOptions{}); err == nil {
+	tp, counts := smallSystem(t, 5)
+	if _, err := PlanDeployment(tp, counts, DefaultCost(), QoS(0.9, 150), 0, nil, BoundOptions{}); err == nil {
 		t.Error("zeta = 0 accepted")
 	}
 }

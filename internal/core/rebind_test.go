@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"wideplace/internal/lp"
 )
@@ -33,11 +32,7 @@ func TestGapUnboundedWhenBoundZero(t *testing.T) {
 // unattainability errors — for every class across an ascending QoS
 // ladder.
 func TestCompiledQoSMatchesFreshBuilds(t *testing.T) {
-	tp, tr := smallSystem(t, 11)
-	counts, err := tr.Bucket(time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp, counts := smallSystem(t, 11)
 	goals := []float64{0.6, 0.75, 0.9, 0.97}
 	for _, class := range []*Class{nil, Reactive(), Caching(tp), CoopCaching(tp, 150)} {
 		inst, err := NewInstance(tp, counts, DefaultCost(), QoS(goals[0], 150))
@@ -110,11 +105,7 @@ func TestCompiledQoSMatchesFreshBuilds(t *testing.T) {
 // coverage ceiling: the rebind-time error must match the fresh build's,
 // message and all.
 func TestCompiledQoSUnattainableMatchesFresh(t *testing.T) {
-	tp, tr := smallSystem(t, 13)
-	counts, err := tr.Bucket(time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp, counts := smallSystem(t, 13)
 	// A tight latency threshold makes high QoS unattainable for classes
 	// without full reach.
 	inst, err := NewInstance(tp, counts, DefaultCost(), QoS(0.05, 40))

@@ -28,8 +28,8 @@ const (
 	GROUP WorkloadKind = "group"
 )
 
-// Spec describes a materialized System: what scenario.Compile generated,
-// or what NewSystem was handed, plus the goal grid to sweep on it.
+// Spec describes a System: what scenario.Compile generated, or what
+// NewSystem was handed, plus the goal grid to sweep on it.
 type Spec struct {
 	Workload WorkloadKind
 	Nodes    int
@@ -74,7 +74,9 @@ func ValidateQoS(points []float64) error {
 	return nil
 }
 
-// System materializes the spec: topology, trace and bucketed counts.
+// System holds the spec's topology and bucketed counts, and the
+// time-sorted trace when one was kept (nil otherwise; only the simulator
+// replays it).
 type System struct {
 	Spec   Spec
 	Topo   *topology.Topology

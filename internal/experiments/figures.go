@@ -150,7 +150,7 @@ type Figure2Result struct {
 // tuning, LRU tuning) are independent and fan out across workers.
 func Figure2(sys *System, opts Options, progress Progress) (*Figure2Result, error) {
 	if sys.Trace == nil {
-		return nil, errors.New("experiments: Figure2 replays the raw trace; streamed systems carry only counts")
+		return nil, errors.New("experiments: Figure2 replays the raw trace; compile the system with scenario.StreamOff to keep it")
 	}
 	var boundClass *core.Class
 	if sys.Spec.Workload == GROUP {
@@ -251,11 +251,8 @@ type Figure3Result struct {
 // the reduced topology. Phase 1 is a single solve; phase 2 fans out like
 // Figure 1.
 func Figure3(sys *System, opts Options, progress Progress) (*Figure3Result, error) {
-	if sys.Trace == nil {
-		return nil, errors.New("experiments: Figure3 re-buckets the raw trace per deployment; streamed systems carry only counts")
-	}
 	planQoS := sys.Spec.QoSPoints[0]
-	dep, err := core.PlanDeployment(sys.Topo, sys.Trace, sys.Spec.Delta,
+	dep, err := core.PlanDeployment(sys.Topo, sys.Counts,
 		core.DefaultCost(), core.QoS(planQoS, sys.Spec.Tlat), sys.Spec.Zeta, nil,
 		opts.boundOptions(opts.context()))
 	if err != nil {
@@ -263,11 +260,7 @@ func Figure3(sys *System, opts Options, progress Progress) (*Figure3Result, erro
 	}
 	progress.logf("phase 1: opened %d of %d sites: %v", len(dep.OpenNodes), sys.Topo.N, dep.OpenNodes)
 
-	subCounts, err := dep.Trace.Bucket(sys.Spec.Delta)
-	if err != nil {
-		return nil, err
-	}
-	subSys := &System{Spec: sys.Spec, Topo: dep.Topology, Trace: dep.Trace, Counts: subCounts}
+	subSys := &System{Spec: sys.Spec, Topo: dep.Topology, Counts: dep.Instance.Counts}
 	classes := []*core.Class{
 		core.Reactive(),
 		withReactive(core.StorageConstrained()),

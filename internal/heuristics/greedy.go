@@ -176,11 +176,11 @@ func (g *GreedyGlobal) OnRead(node, object int, at time.Duration) int {
 	if node == g.env.Topo.Origin {
 		return node
 	}
-	return serveNearest(g.env, g.order, node, object, false)
+	return serveNearest(g.env, g.order, node, object)
 }
 
 // ProvisionedObjectHours implements sim.Heuristic: fixed capacity on every
 // placement node.
 func (g *GreedyGlobal) ProvisionedObjectHours(horizon time.Duration) float64 {
-	return float64(g.capacity) * float64(g.env.Topo.N-1) * horizonHours(horizon)
+	return float64(g.capacity) * float64(g.env.Topo.N-1) * horizon.Hours()
 }

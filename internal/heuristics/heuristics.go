@@ -8,7 +8,6 @@ package heuristics
 import (
 	"errors"
 	"sort"
-	"time"
 
 	"wideplace/internal/sim"
 	"wideplace/internal/workload"
@@ -33,15 +32,9 @@ func neighborOrder(env *sim.Env) [][]int {
 }
 
 // serveNearest returns the lowest-latency source currently holding the
-// object: the node itself, another holder, or the origin. When
-// withinTlatOnly is set, remote holders beyond the threshold are ignored
-// (they would not improve QoS and plain caching cannot reach them anyway).
-func serveNearest(env *sim.Env, order [][]int, node, object int, withinTlatOnly bool) int {
+// object: the node itself, another holder, or the origin (global routing).
+func serveNearest(env *sim.Env, order [][]int, node, object int) int {
 	for _, m := range order[node] {
-		lat := env.Topo.Latency[node][m]
-		if withinTlatOnly && lat > env.Tlat {
-			break
-		}
 		if m == env.Topo.Origin || env.Tracker.Stored(m, object) {
 			if m == env.Topo.Origin {
 				return sim.Origin
@@ -67,6 +60,3 @@ func intervalDemand(counts *workload.Counts, i int) [][]int {
 }
 
 var errNilEnv = errors.New("heuristics: Attach called with nil environment")
-
-// horizonHours converts a duration to fractional hours.
-func horizonHours(d time.Duration) float64 { return d.Hours() }

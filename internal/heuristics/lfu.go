@@ -75,5 +75,5 @@ func (l *LFU) OnRead(node, object int, at time.Duration) int {
 
 // ProvisionedObjectHours implements sim.Heuristic.
 func (l *LFU) ProvisionedObjectHours(horizon time.Duration) float64 {
-	return float64(l.capacity) * float64(l.env.Topo.N-1) * horizonHours(horizon)
+	return float64(l.capacity) * float64(l.env.Topo.N-1) * horizon.Hours()
 }

@@ -67,7 +67,7 @@ func (l *LRU) OnRead(node, object int, at time.Duration) int {
 // ProvisionedObjectHours implements sim.Heuristic: capacity on every
 // placement node for the whole horizon.
 func (l *LRU) ProvisionedObjectHours(horizon time.Duration) float64 {
-	return float64(l.capacity) * float64(l.env.Topo.N-1) * horizonHours(horizon)
+	return float64(l.capacity) * float64(l.env.Topo.N-1) * horizon.Hours()
 }
 
 // lruCache is a classic map + intrusive list LRU.

@@ -127,7 +127,7 @@ func (q *QiuGreedy) OnRead(node, object int, at time.Duration) int {
 	if node == q.env.Topo.Origin {
 		return node
 	}
-	return serveNearest(q.env, q.order, node, object, false)
+	return serveNearest(q.env, q.order, node, object)
 }
 
 // ProvisionedObjectHours implements sim.Heuristic: replica-constrained

@@ -19,9 +19,6 @@ type Static struct {
 	interval time.Duration
 	env      *sim.Env
 	order    [][]int
-	// withinOnly restricts serving to replicas within the latency
-	// threshold (local routing semantics); global routing otherwise.
-	withinOnly bool
 }
 
 var _ sim.Heuristic = (*Static)(nil)
@@ -81,7 +78,7 @@ func (s *Static) OnRead(node, object int, at time.Duration) int {
 	if node == s.env.Topo.Origin {
 		return node
 	}
-	return serveNearest(s.env, s.order, node, object, s.withinOnly)
+	return serveNearest(s.env, s.order, node, object)
 }
 
 // ProvisionedObjectHours implements sim.Heuristic: a static plan stores

@@ -15,16 +15,16 @@ import (
 	"wideplace/internal/workload"
 )
 
-// Result is a compiled scenario: the materialized system, its resolved
-// heuristic classes, the self-check warnings and a content fingerprint.
+// Result is a compiled scenario: the system, its resolved heuristic
+// classes, the self-check warnings and a content fingerprint.
 type Result struct {
 	// Spec is the compiled spec (after validation, before any defaults
 	// are folded in — re-compiling it reproduces the system exactly).
 	Spec Spec
-	// System is the materialized topology + trace + bucketed counts,
-	// ready for the experiments sweep engine. When Streamed is set,
-	// System.Trace is nil: the counts were aggregated in one pass and no
-	// per-access record exists.
+	// System is the topology + bucketed counts, ready for the experiments
+	// sweep engine. System.Trace is nil unless the compile ran with
+	// StreamOff: the counts were aggregated in one pass and no per-access
+	// record exists.
 	System *experiments.System
 	// Classes are the resolved heuristic classes in spec order.
 	Classes []*core.Class
@@ -33,58 +33,49 @@ type Result struct {
 	// curves truncate from the first point).
 	Warnings []string
 	// Fingerprint is the SHA-256 of the canonical serialized system (see
-	// Fingerprint); two compiles of one spec always agree on it.
+	// Fingerprint); two compiles of one spec always agree on it, whatever
+	// their StreamingMode.
 	Fingerprint string
-	// Streamed reports that the workload was aggregated without
-	// materializing the trace.
+	// Streamed reports that System.Trace is nil.
 	Streamed bool
 }
 
-// StreamingMode selects how CompileWith builds the workload counts.
+// StreamingMode selects whether CompileWith keeps the time-sorted trace.
 type StreamingMode int
 
 const (
-	// StreamAuto streams when the request volume reaches
-	// StreamingThreshold and materializes below it.
-	StreamAuto StreamingMode = iota
-	// StreamOff always materializes the trace.
+	// StreamOn aggregates the generated accesses straight into counts and
+	// keeps no trace. It is the zero value and the default.
+	StreamOn StreamingMode = iota
+	// StreamOff also keeps the time-sorted trace, for the callers that
+	// replay individual accesses (the simulator).
 	StreamOff
-	// StreamOn always streams, whatever the size.
-	StreamOn
 )
-
-// StreamingThreshold is the request volume at which StreamAuto switches
-// from materializing the trace to one-pass streaming aggregation. Below
-// it the raw trace is cheap (a 1M-request trace is ~32 MB) and keeping it
-// enables the simulator and trace export; at the paper's full 16M-request
-// GROUP volume the trace alone would be ~512 MB plus sort space, so the
-// compile streams straight into Counts.
-const StreamingThreshold = 4_000_000
 
 // CompileOptions tunes Compile behavior.
 type CompileOptions struct {
 	Streaming StreamingMode
 }
 
-// Compile materializes a spec deterministically with automatic streaming
-// (see CompileWith).
+// Compile generates a spec's system deterministically, counts only (see
+// CompileWith).
 func Compile(spec Spec) (*Result, error) {
 	return CompileWith(spec, CompileOptions{})
 }
 
-// CompileWith materializes a spec deterministically: it generates the
-// topology and trace from the spec's seeds, buckets the trace, resolves
-// the heuristic classes and self-checks the whole system — finite
-// latencies, trace/topology dimension agreement, and attainability of the
-// loosest QoS goal (every listed class under RequireAllClasses, at least
-// one otherwise; the rest surface as warnings).
+// CompileWith generates a spec's system deterministically: it generates
+// the topology and the workload's access stream from the spec's seeds,
+// aggregates the stream into interval counts, resolves the heuristic
+// classes and self-checks the whole system — finite latencies,
+// workload/topology dimension agreement, and attainability of the loosest
+// QoS goal (every listed class under RequireAllClasses, at least one
+// otherwise; the rest surface as warnings).
 //
-// Large workloads (StreamAuto past StreamingThreshold, or StreamOn)
-// stream: the generator's access sequence is aggregated into Counts in
-// one pass and System.Trace stays nil. The counts are identical to the
-// materialize-then-Bucket path — the streaming aggregator consumes the
-// same deterministic sequence — so every counts-based consumer sees the
-// same system either way.
+// The counts are aggregated in one pass and System.Trace stays nil,
+// unless opts.Streaming is StreamOff: then the trace is materialized,
+// validated and bucketed, and kept. The counts are identical either way —
+// both paths consume the same deterministic sequence — so the two
+// compiles of one spec share their fingerprint.
 func CompileWith(spec Spec, opts CompileOptions) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -105,18 +96,11 @@ func CompileWith(spec Spec, opts CompileOptions) (*Result, error) {
 		return nil, fmt.Errorf("scenario %s: topology has %d nodes, workload has %d", spec.Name, topo.N, st.Nodes())
 	}
 	requests, objects, horizon := st.Requests(), st.Objects(), st.Duration()
-	stream := opts.Streaming == StreamOn ||
-		(opts.Streaming == StreamAuto && requests >= StreamingThreshold)
 	var (
 		trace  *workload.Trace
 		counts *workload.Counts
 	)
-	if stream {
-		counts, err = st.Counts(spec.Delta())
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
-		}
-	} else {
+	if opts.Streaming == StreamOff {
 		trace, err = st.Materialize()
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: workload: %w", spec.Name, err)
@@ -125,9 +109,11 @@ func CompileWith(spec Spec, opts CompileOptions) (*Result, error) {
 			return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 		}
 		counts, err = trace.Bucket(spec.Delta())
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
-		}
+	} else {
+		counts, err = st.Counts(spec.Delta())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 	for i := range topo.Latency {
 		for j, v := range topo.Latency[i] {
@@ -178,7 +164,7 @@ func CompileWith(spec Spec, opts CompileOptions) (*Result, error) {
 		Classes:     classes,
 		Warnings:    warnings,
 		Fingerprint: fp,
-		Streamed:    stream,
+		Streamed:    trace == nil,
 	}, nil
 }
 
@@ -311,50 +297,46 @@ func selfCheckAttainability(spec Spec, sys *experiments.System, classes []*core.
 }
 
 // fingerprintDoc is the canonical serialized form hashed by Fingerprint:
-// the materialized placement question and nothing else. Topology and
-// Trace marshal deterministically (slices only, no maps); delta, tlat,
-// QoS points and zeta are the parameters that change which question is
-// asked. Provenance fields (workload kind, seeds, generator knobs) stay
-// out: the hash names the question, not the route that generated it.
-//
-// Streamed systems have no Trace. They hash CountsDigest — the SHA-256 of
-// the counts' canonical binary encoding — instead, leaving Trace null, so
-// a streamed document can never collide with a materialized one of the
-// same topology (the field sets differ).
+// the placement question and nothing else. Topology marshals
+// deterministically (slices only, no maps); CountsDigest is the SHA-256 of
+// the counts' canonical binary encoding; delta, tlat, QoS points and zeta
+// are the parameters that change which question is asked. Provenance
+// fields (workload kind, seeds, generator knobs, whether a trace was kept)
+// stay out: the hash names the question, not the route that generated it.
 type fingerprintDoc struct {
-	DeltaNanos   int64              `json:"deltaNanos"`
-	Tlat         float64            `json:"tlat"`
-	QoS          []float64          `json:"qos"`
-	Zeta         float64            `json:"zeta"`
-	Topology     *topology.Topology `json:"topology"`
-	Trace        *workload.Trace    `json:"trace"`
-	CountsDigest string             `json:"countsDigest,omitempty"`
+	DeltaNanos int64              `json:"deltaNanos"`
+	Tlat       float64            `json:"tlat"`
+	QoS        []float64          `json:"qos"`
+	Zeta       float64            `json:"zeta"`
+	Topology   *topology.Topology `json:"topology"`
+	// Trace is always null. Systems that kept a trace used to hash it
+	// here; emitting the null keeps the document, and so every counts-only
+	// fingerprint (the ingest benchmark's pinned references among them),
+	// unchanged.
+	Trace        any    `json:"trace"`
+	CountsDigest string `json:"countsDigest"`
 }
 
-// Fingerprint returns the SHA-256 content address of a materialized
-// system. Two compiles of the same scenario spec must produce the same
-// fingerprint — the determinism contract of the scenario layer, enforced
-// by tests over every registered scenario.
+// Fingerprint returns the SHA-256 content address of a system. Two
+// compiles of the same scenario spec must produce the same fingerprint —
+// the determinism contract of the scenario layer, enforced by tests over
+// every registered scenario.
 func Fingerprint(sys *experiments.System) (string, error) {
-	doc := fingerprintDoc{
-		DeltaNanos: sys.Spec.Delta.Nanoseconds(),
-		Tlat:       sys.Spec.Tlat,
-		QoS:        sys.Spec.QoSPoints,
-		Zeta:       sys.Spec.Zeta,
-		Topology:   sys.Topo,
-		Trace:      sys.Trace,
+	if sys.Counts == nil {
+		return "", errors.New("scenario: system has no counts")
 	}
-	if sys.Trace == nil {
-		if sys.Counts == nil {
-			return "", errors.New("scenario: system has neither trace nor counts")
-		}
-		h := sha256.New()
-		if err := sys.Counts.EncodeBinary(h); err != nil {
-			return "", err
-		}
-		doc.CountsDigest = hex.EncodeToString(h.Sum(nil))
+	h := sha256.New()
+	if err := sys.Counts.EncodeBinary(h); err != nil {
+		return "", err
 	}
-	raw, err := json.Marshal(doc)
+	raw, err := json.Marshal(fingerprintDoc{
+		DeltaNanos:   sys.Spec.Delta.Nanoseconds(),
+		Tlat:         sys.Spec.Tlat,
+		QoS:          sys.Spec.QoSPoints,
+		Zeta:         sys.Spec.Zeta,
+		Topology:     sys.Topo,
+		CountsDigest: hex.EncodeToString(h.Sum(nil)),
+	})
 	if err != nil {
 		return "", err
 	}

@@ -39,8 +39,8 @@ func FuzzScenarioJSON(f *testing.F) {
 		if res.System.Topo.N != spec.Nodes() {
 			t.Fatalf("compiled topology has %d nodes, spec says %d", res.System.Topo.N, spec.Nodes())
 		}
-		if res.System.Trace.NumNodes != res.System.Topo.N {
-			t.Fatal("trace/topology node counts disagree after compile")
+		if res.System.Counts.Nodes != res.System.Topo.N {
+			t.Fatal("counts/topology node counts disagree after compile")
 		}
 		if res.Fingerprint == "" {
 			t.Fatal("compiled system has no fingerprint")

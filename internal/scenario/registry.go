@@ -180,8 +180,8 @@ func init() {
 		"paper 20-node AS topology, GROUP workload (uniform popularity, even sites)",
 		WorkGroup, 20))
 	// The paper's GROUP instance at its published volume: 16M requests
-	// over 24 hours (Sec. 6). Past the streaming threshold, so compiling
-	// it aggregates counts in one pass and never materializes the trace.
+	// over 24 hours (Sec. 6). Like every compile, it aggregates counts in
+	// one pass; only a StreamOff compile would hold its 512MB trace.
 	mustRegister(Spec{
 		Name:        "paper20-group-full",
 		Description: "paper 20-node GROUP workload at the full published 16M-request volume (streams)",

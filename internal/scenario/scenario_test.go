@@ -34,6 +34,9 @@ func TestRegisteredScenariosCompileDeterministically(t *testing.T) {
 			if r1.Fingerprint != r2.Fingerprint {
 				t.Fatalf("fingerprints differ across compiles: %s vs %s", r1.Fingerprint, r2.Fingerprint)
 			}
+			if !r1.Streamed || r1.System.Trace != nil {
+				t.Fatal("the default compile kept the trace")
+			}
 			b1, err := json.Marshal(r1.System)
 			if err != nil {
 				t.Fatal(err)
@@ -55,20 +58,26 @@ func TestRegisteredScenariosCompileDeterministically(t *testing.T) {
 	}
 }
 
+// slowCompileRequests is the request volume from which a compile is too
+// slow for -short runs (and materializing its trace too slow under the
+// race detector): only paper20-group-full's 16M requests reach it.
+const slowCompileRequests = 4_000_000
+
 // goldenFingerprints pins the compiled system of every registered scenario.
 // A change to a generator's draw order, its sampling or the bucketing moves
 // these hashes, so such a change fails here and not only in the benchmark's
-// reference check. A new scenario must add its fingerprint.
+// reference check. A new scenario must add its fingerprint. The hashes
+// cover counts, not traces: TestTraceGolden pins the access sequences.
 var goldenFingerprints = map[string]string{
-	"diurnal-shift":           "sha256:a7c6961f218e79de2fac72baa7e6312e69258f2f68c8b08178e77d9a19be4998",
-	"flash-crowd":             "sha256:5d127a08e09c6d00aa016ef3c3d459c22ca6556a59a97bf3cf3e7e508a1e6973",
-	"paper20-group":           "sha256:e09215298a6e477c1d6d55fb7593d72a24787fec2cb73ecfd3b131750cd0be46",
+	"diurnal-shift":           "sha256:5bda2a9d1b689ad8dc20f399f7f3b314935e5c159e5c7e26dcbf39dd240dc217",
+	"flash-crowd":             "sha256:01b9a4a6931d6c35483dbf8a1de6234db02170cc313b70a245f49a891c9d3c1f",
+	"paper20-group":           "sha256:0f95f2ce60059259d21052eaa762e39f6333b5caa030372d63d48636c9ee5edc",
 	"paper20-group-full":      "sha256:4b3001fbdd71cccae94a6c1ba84e5247dba5077ad05e110c8c092608667efa15",
-	"paper20-web":             "sha256:d6674f10a3b1b21d0146cc3225f94c90461e8cf61a89f95d3f0e5e1ebfac20bd",
-	"remote-office-clustered": "sha256:a3f287ec025609f95685d0d31bd5abe5b7f3c8d312c3d5b0f21fd2eb825dbf78",
-	"transit-stub-100":        "sha256:ac61adc7ad56336dd611e4aadc5e54fa3ef52062d281ee742acc64bb24c79529",
-	"tree-kary-63":            "sha256:9ee7a81e32b2ee6f460a800a6fd17d34838987bdfc0345b223c477d09f8e0823",
-	"tree-random-100":         "sha256:d6d371e0323f561bdc3bfb20872e49d91deb3d15229fe5e0342bf16934c5b088",
+	"paper20-web":             "sha256:caf32f0fcd62d2949f1302c8877d6d359525a38a5186824fb53a71966c520d4e",
+	"remote-office-clustered": "sha256:5ddac2ced3d747c0f85e1e4542c3910d7ae09bbadd89f0d4089ce1ddd4797cd5",
+	"transit-stub-100":        "sha256:194f6609479ee43bf7c8cf195cb3f57c249449e524a74d5d99f59b9745cf24a9",
+	"tree-kary-63":            "sha256:20cee70f73c12fdd9e7af47497ab2a420e741a5c7d6c7f86c8cc4d83f1529f35",
+	"tree-random-100":         "sha256:b6592091d385d8d3da6f013644c6dcda83598de32cad15b2477bbfc1b86154d9",
 }
 
 func TestRegisteredScenarioFingerprints(t *testing.T) {
@@ -83,7 +92,7 @@ func TestRegisteredScenarioFingerprints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if spec.Workload.Requests >= StreamingThreshold && testing.Short() {
+			if spec.Workload.Requests >= slowCompileRequests && testing.Short() {
 				t.Skipf("skipping the %d-request compile in short mode", spec.Workload.Requests)
 			}
 			t.Parallel()
@@ -99,16 +108,16 @@ func TestRegisteredScenarioFingerprints(t *testing.T) {
 }
 
 // presetFingerprints pins the compiled system of every preset to the
-// fingerprint its hand-coded generator path produced before the presets
-// became scenario specs: the move is a refactoring of the paper instance,
-// not a reinterpretation.
+// system its hand-coded generator path produced before the presets became
+// scenario specs: the move is a refactoring of the paper instance, not a
+// reinterpretation.
 var presetFingerprints = map[string]string{
-	"web-small":    "sha256:31b6971e2fde92bbdef6b0b5269ef2a568be748a1250e230101c82f48ee8b532",
-	"web-medium":   "sha256:8fc3fb595e18ce01b5c398c5fa51a8e4bfff4471abb54f4533f256ed31209b0d",
-	"web-large":    "sha256:c3c8a36d6c9c1ccc267de2ec07ce58d4e9f3911e69914a716c8d5c4c196d76a4",
-	"group-small":  "sha256:a4ad0ad3e3ec9bde0b6505afcc966229918378c7e8199766191a16399fcb88f8",
-	"group-medium": "sha256:cfac7665a704e77478100fc7c500a6d33f4713b63b7f49cdff02136e4319507e",
-	"group-large":  "sha256:462467a5345d10e3e27ea18d9a3a33a2f5336a631abc22aeef15373d02201b8a",
+	"web-small":    "sha256:08522f4268e026fdaba793cc825c4c72a4b58b4ea4baf552cf823f109f3b4afc",
+	"web-medium":   "sha256:acf54afb2a7866e207d8486e2bdd3420ad630929116fa0aed5ac3676b9f07b3d",
+	"web-large":    "sha256:e2f3f3cfb6588502531a7ed0a5e95e04a4fdcf60757e593a3386de1ef950031f",
+	"group-small":  "sha256:6979d2fd60225e0a715a8d5259a70016a12561427c8c8acc0e4f276ef4409606",
+	"group-medium": "sha256:35d0093fd092da17fede6129325ae1c2f60ea3a0967b7636569c8190f7746011",
+	"group-large":  "sha256:3980a2dcffaaa51caded9ed0be340e8b061502e90aeab3137b982611167f9df9",
 }
 
 func TestPresetFingerprints(t *testing.T) {

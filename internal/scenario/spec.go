@@ -2,7 +2,7 @@
 // validated specs that compose the low-level topology and workload
 // generators into reproducible placement questions. A Spec is plain JSON
 // (a file, a registry entry or a placementd job body); Compile
-// deterministically materializes it into an experiments.System, resolves
+// deterministically generates it into an experiments.System, resolves
 // its heuristic classes and self-checks the result, so every consumer —
 // cmd tools, the stress runner, the placement service — asks questions
 // through one schema instead of hard-wiring the paper's single instance.

@@ -1,15 +1,19 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"runtime"
 	"testing"
 	"unsafe"
 )
 
 // TestStreamedCompileMatchesMaterialized is the end-to-end differential of
-// the streaming compile path: for every registered builtin, forcing the
-// one-pass streamed aggregation must yield Counts byte-identical (after
-// canonical serialization, via Counts.Equal) to materialize-then-Bucket.
+// the streaming compile path: for every registered builtin, the one-pass
+// streamed aggregation must yield Counts byte-identical (after canonical
+// serialization, via Counts.Equal) to materialize-then-Bucket, and so the
+// same fingerprint.
 //
 // The full-volume 16M-request builtin materializes ~512MB of accesses on
 // the StreamOff side, so it is skipped in -short mode and under the race
@@ -22,7 +26,7 @@ func TestStreamedCompileMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if spec.Workload.Requests >= StreamingThreshold && (testing.Short() || raceEnabled) {
+			if spec.Workload.Requests >= slowCompileRequests && (testing.Short() || raceEnabled) {
 				t.Skipf("skipping the %d-request materialization in short/race mode", spec.Workload.Requests)
 			}
 			t.Parallel()
@@ -49,43 +53,46 @@ func TestStreamedCompileMatchesMaterialized(t *testing.T) {
 			if !streamed.System.Counts.Equal(materialized.System.Counts) {
 				t.Fatal("streamed counts differ from materialize-then-bucket")
 			}
+			if streamed.Fingerprint != materialized.Fingerprint {
+				t.Fatalf("streamed fingerprint %s, materialized %s", streamed.Fingerprint, materialized.Fingerprint)
+			}
 		})
 	}
 }
 
-// TestStreamAutoThreshold: the auto mode must stream at and above the
-// threshold and materialize below it.
-func TestStreamAutoThreshold(t *testing.T) {
-	spec, err := Get("flash-crowd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := CompileWith(spec, CompileOptions{}) // StreamAuto
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Streamed {
-		t.Errorf("%d requests streamed below the %d threshold", spec.Workload.Requests, StreamingThreshold)
-	}
-	full, err := Get("paper20-group-full")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Workload.Requests < StreamingThreshold {
-		t.Fatalf("paper20-group-full volume %d under the streaming threshold", full.Workload.Requests)
-	}
-	if testing.Short() {
-		t.Skip("skipping the 16M-request streamed compile in short mode")
-	}
-	res, err = CompileWith(full, CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Streamed {
-		t.Error("full-volume scenario did not stream under StreamAuto")
-	}
-	if res.Fingerprint == "" {
-		t.Error("streamed compile produced no fingerprint")
+// traceGolden pins the SHA-256 of the JSON trace a StreamOff compile keeps,
+// one scenario per workload model. Fingerprints hash counts only, so a
+// change to the access sequence the simulator replays that leaves every
+// count alone (an access moved within its interval, say) fails here.
+var traceGolden = map[string]string{
+	"paper20-web":   "sha256:3b64973497163bd14529404582dcf68c9695fee0e21ca96ea6adebb6725069b7",
+	"paper20-group": "sha256:443a4d6138a69f65660cb6cc30fca6ce2e5e5934b27190540a624d371813e01d",
+	"flash-crowd":   "sha256:c6cf271b8d4bdaf34b170dee0b9625cc27acb7a7908424b9392d6db47f2a343d",
+	"diurnal-shift": "sha256:6802e2e9c4db80012853416b7d01e6ab7ab9ea69a4d59e544dc0e4d14ac37bfd",
+}
+
+func TestTraceGolden(t *testing.T) {
+	for name, want := range traceGolden {
+		name, want := name, want
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			spec, err := Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := CompileWith(spec, CompileOptions{Streaming: StreamOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := json.Marshal(res.System.Trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			if got := "sha256:" + hex.EncodeToString(sum[:]); got != want {
+				t.Fatalf("trace hash %s, want %s", got, want)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"wideplace/internal/controller"
 	"wideplace/internal/core"
@@ -25,8 +24,8 @@ type StreamRequest struct {
 	Reactive bool `json:"reactive,omitempty"`
 	// Intervals caps the replay to the first N intervals (0 = all).
 	Intervals int `json:"intervals,omitempty"`
-	// DeltaMillis re-buckets the scenario's trace at this control period
-	// (0 = the scenario's own).
+	// DeltaMillis overrides the scenario's interval with this control
+	// period (0 = the scenario's own).
 	DeltaMillis int64 `json:"deltaMillis,omitempty"`
 }
 
@@ -90,26 +89,18 @@ func (s *Server) handleControllerStream(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, "intervals and deltaMillis must not be negative")
 		return
 	}
+	spec := *req.Scenario
+	if req.DeltaMillis > 0 {
+		spec.DeltaMillis = req.DeltaMillis
+	}
 	// Compile validates the spec, size caps included, before generating.
-	res, err := scenario.Compile(*req.Scenario)
+	res, err := scenario.Compile(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sys := res.System
-	counts := sys.Counts
-	if req.DeltaMillis > 0 {
-		if sys.Trace == nil {
-			writeError(w, http.StatusBadRequest,
-				"deltaMillis re-bucketing needs the raw trace; this scenario compiled in streaming mode (counts only)")
-			return
-		}
-		if counts, err = sys.Trace.Bucket(time.Duration(req.DeltaMillis) * time.Millisecond); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	counts = counts.Truncate(req.Intervals)
+	counts := sys.Counts.Truncate(req.Intervals)
 
 	cfg := controller.Config{
 		Topo:    sys.Topo,

@@ -7,10 +7,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"wideplace/internal/controller"
 	"wideplace/internal/core"
 	"wideplace/internal/scenario"
+	"wideplace/internal/workload"
 )
 
 // driftScenario is a small drift workload: a diurnal trace bucketed into
@@ -95,48 +97,65 @@ func TestControllerStream(t *testing.T) {
 
 // TestControllerStreamMatchesReplay: a capped reactive stream emits
 // exactly the steps controller.Replay computes for the same scenario,
-// wall clock aside.
+// wall clock aside. With deltaMillis, the replayed counts are the
+// scenario's trace bucketed at that control period.
 func TestControllerStreamMatchesReplay(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	body := strings.Replace(driftScenario, `{"scenario"`, `{"reactive":true,"intervals":2,"scenario"`, 1)
-	_, streamed, _ := controllerStream(t, ts, body)
-
 	var req StreamRequest
 	if err := json.Unmarshal([]byte(driftScenario), &req); err != nil {
 		t.Fatal(err)
 	}
-	res, err := scenario.Compile(*req.Scenario)
+	res, err := scenario.CompileWith(*req.Scenario, scenario.CompileOptions{Streaming: scenario.StreamOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys := res.System
-	tr, err := controller.Replay(controller.Config{
-		Topo: sys.Topo, Cost: core.DefaultCost(), Goal: core.QoS(0.95, sys.Spec.Tlat),
-	}, sys.Counts.Truncate(2), false)
+	hourly, err := sys.Trace.Bucket(time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(streamed) != len(tr.Steps) {
-		t.Fatalf("stream emitted %d steps, Replay took %d", len(streamed), len(tr.Steps))
-	}
-	for i := range streamed {
-		streamed[i].WallNs, tr.Steps[i].WallNs = 0, 0
-		got, _ := json.Marshal(&streamed[i])
-		want, _ := json.Marshal(tr.Steps[i])
-		if string(got) != string(want) {
-			t.Errorf("step %d:\nstream %s\nreplay %s", i, got, want)
-		}
+	for _, c := range []struct {
+		name   string
+		fields string
+		counts *workload.Counts
+	}{
+		{"scenario delta", `"reactive":true,"intervals":2,`, sys.Counts.Truncate(2)},
+		{"deltaMillis", `"reactive":true,"intervals":4,"deltaMillis":3600000,`, hourly.Truncate(4)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			body := strings.Replace(driftScenario, `{"scenario"`, `{`+c.fields+`"scenario"`, 1)
+			_, streamed, _ := controllerStream(t, ts, body)
+			tr, err := controller.Replay(controller.Config{
+				Topo: sys.Topo, Cost: core.DefaultCost(), Goal: core.QoS(0.95, sys.Spec.Tlat),
+			}, c.counts, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(streamed) != len(tr.Steps) {
+				t.Fatalf("stream emitted %d steps, Replay took %d", len(streamed), len(tr.Steps))
+			}
+			for i := range streamed {
+				streamed[i].WallNs, tr.Steps[i].WallNs = 0, 0
+				got, _ := json.Marshal(&streamed[i])
+				want, _ := json.Marshal(tr.Steps[i])
+				if string(got) != string(want) {
+					t.Errorf("step %d:\nstream %s\nreplay %s", i, got, want)
+				}
+			}
+		})
 	}
 }
 
 // TestControllerStreamRejects covers the 4xx paths: bodies without a
-// scenario and out-of-range goals never reach the solver.
+// scenario, out-of-range goals and a deltaMillis whose counts would
+// exceed workload.MaxCells never reach the solver.
 func TestControllerStreamRejects(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, body := range []string{
 		`{}`,
 		`{"tqos":0.9}`,
 		strings.Replace(driftScenario, `"seed":11,`, `"seed":11,"bogus":1,`, 1),
+		strings.Replace(driftScenario, `{"scenario"`, `{"deltaMillis":1,"scenario"`, 1),
 	} {
 		resp, err := http.Post(ts.URL+"/controller/stream", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -27,7 +27,7 @@ func scenarioConfig(t *testing.T, name string, nodes int) sim.Config {
 	if nodes > 0 {
 		spec = spec.WithNodes(nodes)
 	}
-	res, err := scenario.Compile(spec)
+	res, err := scenario.CompileWith(spec, scenario.CompileOptions{Streaming: scenario.StreamOff})
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", name, err)
 	}

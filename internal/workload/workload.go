@@ -167,30 +167,35 @@ func alloc3(n, i, k int) [][][]int {
 	return out
 }
 
-// Reassign maps every access through the given site assignment (see
-// topology.Restrict) and renumbers nodes to 0..len(open)-1 following open.
-// It returns a new trace over the reduced node set.
-func (t *Trace) Reassign(assign []int, open []int) (*Trace, error) {
-	if len(assign) != t.NumNodes {
-		return nil, fmt.Errorf("workload: assignment covers %d nodes, trace has %d", len(assign), t.NumNodes)
+// Reassign sums each site's counts into the open site that serves it
+// (assign, see topology.Restrict) and renumbers the sites to
+// 0..len(open)-1 following open. Bucketing commutes with relabelling the
+// sites, so the result equals bucketing the trace after mapping each
+// access to its open site.
+func (c *Counts) Reassign(assign []int, open []int) (*Counts, error) {
+	if len(assign) != c.Nodes {
+		return nil, fmt.Errorf("workload: assignment covers %d nodes, counts have %d", len(assign), c.Nodes)
 	}
 	newIndex := make(map[int]int, len(open))
 	for i, o := range open {
 		newIndex[o] = i
 	}
-	out := &Trace{
-		Accesses:   make([]Access, len(t.Accesses)),
-		NumNodes:   len(open),
-		NumObjects: t.NumObjects,
-		Duration:   t.Duration,
+	out := &Counts{
+		Nodes: len(open), Intervals: c.Intervals, Objects: c.Objects, Delta: c.Delta,
+		Reads:  alloc3(len(open), c.Intervals, c.Objects),
+		Writes: alloc3(len(open), c.Intervals, c.Objects),
 	}
-	for i, a := range t.Accesses {
-		ni, ok := newIndex[assign[a.Node]]
+	for n := 0; n < c.Nodes; n++ {
+		to, ok := newIndex[assign[n]]
 		if !ok {
-			return nil, fmt.Errorf("workload: node %d assigned to non-open site %d", a.Node, assign[a.Node])
+			return nil, fmt.Errorf("workload: node %d assigned to non-open site %d", n, assign[n])
 		}
-		a.Node = ni
-		out.Accesses[i] = a
+		for i := 0; i < c.Intervals; i++ {
+			for k := 0; k < c.Objects; k++ {
+				out.Reads[to][i][k] += c.Reads[n][i][k]
+				out.Writes[to][i][k] += c.Writes[n][i][k]
+			}
+		}
 	}
 	return out, nil
 }

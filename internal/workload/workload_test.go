@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"wideplace/internal/xrand"
 )
 
 func TestBucketBasics(t *testing.T) {
@@ -216,33 +218,66 @@ func TestBucketPreservesTotals(t *testing.T) {
 	}
 }
 
+// TestReassign is the differential behind Counts.Reassign: summing each
+// site's bucketed counts into its open site must give exactly the counts
+// of the trace whose accesses were mapped to their open sites first.
 func TestReassign(t *testing.T) {
-	tr := &Trace{
-		Accesses: []Access{
-			{At: 0, Node: 0, Object: 0},
-			{At: time.Minute, Node: 1, Object: 0},
-			{At: 2 * time.Minute, Node: 2, Object: 0},
-		},
-		NumNodes: 3, NumObjects: 1, Duration: time.Hour,
-	}
-	// Sites 0 and 2 stay open; site 1's users go to site 0.
-	out, err := tr.Reassign([]int{0, 0, 2}, []int{0, 2})
+	tr, err := GenerateWeb(WebOptions{Nodes: 9, Objects: 12, Requests: 4000, Duration: 5 * time.Hour, Seed: 17, WriteFraction: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.NumNodes != 2 {
-		t.Fatalf("NumNodes = %d, want 2", out.NumNodes)
+	counts, err := tr.Bucket(time.Hour)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantNodes := []int{0, 0, 1}
-	for i, a := range out.Accesses {
-		if a.Node != wantNodes[i] {
-			t.Errorf("access %d node = %d, want %d", i, a.Node, wantNodes[i])
+	if _, writes := counts.NNZ(); writes == 0 {
+		t.Fatal("trace has no writes to reassign")
+	}
+	rng := xrand.New(3)
+	for trial := 0; trial < 20; trial++ {
+		open := []int{0}
+		for n := 1; n < tr.NumNodes; n++ {
+			if rng.Float64() < 0.4 {
+				open = append(open, n)
+			}
+		}
+		index := make(map[int]int, len(open))
+		for i, o := range open {
+			index[o] = i
+		}
+		assign := make([]int, tr.NumNodes)
+		for n := range assign {
+			if _, isOpen := index[n]; isOpen {
+				assign[n] = n
+			} else {
+				assign[n] = open[rng.Intn(len(open))]
+			}
+		}
+		got, err := counts.Reassign(assign, open)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped := *tr
+		mapped.NumNodes = len(open)
+		mapped.Accesses = make([]Access, len(tr.Accesses))
+		for i, a := range tr.Accesses {
+			a.Node = index[assign[a.Node]]
+			mapped.Accesses[i] = a
+		}
+		want, err := mapped.Bucket(time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("open %v, assign %v: reassigned counts differ from bucketing the reassigned trace", open, assign)
 		}
 	}
-	if _, err := tr.Reassign([]int{0, 0}, []int{0}); err == nil {
+	if _, err := counts.Reassign(make([]int, tr.NumNodes-1), []int{0}); err == nil {
 		t.Error("short assignment accepted")
 	}
-	if _, err := tr.Reassign([]int{0, 1, 2}, []int{0, 2}); err == nil {
+	onto := make([]int, tr.NumNodes)
+	onto[1] = 1
+	if _, err := counts.Reassign(onto, []int{0, 2}); err == nil {
 		t.Error("assignment to non-open site accepted")
 	}
 }
