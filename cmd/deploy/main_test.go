@@ -30,3 +30,17 @@ func TestRunRejectsBadInput(t *testing.T) {
 		})
 	}
 }
+
+// TestRunPhase1FailureNamesPhaseOnce: at small scale the reactive class
+// cannot meet the loosest goal, so the run fails in phase 1 within
+// milliseconds, and its error names the phase once.
+func TestRunPhase1FailureNamesPhaseOnce(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-workload", "web", "-scale", "small"}, &out)
+	if err == nil {
+		t.Fatal("deploy -workload web -scale small succeeded; want a phase 1 failure")
+	}
+	if n := strings.Count(err.Error(), "phase 1:"); n != 1 {
+		t.Fatalf("error names phase 1 %d times, want once: %v", n, err)
+	}
+}

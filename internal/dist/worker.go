@@ -72,11 +72,22 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-func (w *Worker) handleSolve(rw http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxShardBytes))
+// decodeShard decodes a POST /solve body. Unknown fields are rejected so a
+// coordinator/worker wire drift fails loudly instead of solving a
+// different question.
+func decodeShard(r io.Reader) (*ShardJob, error) {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var shard ShardJob
 	if err := dec.Decode(&shard); err != nil {
+		return nil, err
+	}
+	return &shard, nil
+}
+
+func (w *Worker) handleSolve(rw http.ResponseWriter, r *http.Request) {
+	shard, err := decodeShard(http.MaxBytesReader(rw, r.Body, maxShardBytes))
+	if err != nil {
 		http.Error(rw, "decode shard: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -89,7 +100,7 @@ func (w *Worker) handleSolve(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "canceled while queued", http.StatusServiceUnavailable)
 		return
 	}
-	points, err := w.solve(r.Context(), &shard)
+	points, err := w.solve(r.Context(), shard)
 	if err != nil {
 		w.failed.Add(1)
 		status := http.StatusInternalServerError

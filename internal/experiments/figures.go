@@ -256,7 +256,7 @@ func Figure3(sys *System, opts Options, progress Progress) (*Figure3Result, erro
 		core.DefaultCost(), core.QoS(planQoS, sys.Spec.Tlat), sys.Spec.Zeta, nil,
 		opts.boundOptions(opts.context()))
 	if err != nil {
-		return nil, fmt.Errorf("phase 1: %w", err)
+		return nil, err // PlanDeployment names the phase
 	}
 	progress.logf("phase 1: opened %d of %d sites: %v", len(dep.OpenNodes), sys.Topo.N, dep.OpenNodes)
 

@@ -97,10 +97,11 @@ type JobRequest struct {
 
 // jobPlan is a validated, canonicalized request: the system statement,
 // the class list and the per-solve cap, plus the content-address key. The
-// key hashes the plan's JSON encoding: field order is fixed and every
-// member marshals deterministically, so two requests asking the same
-// question hash identically regardless of their JSON spelling (field
-// order, omitted defaults, whitespace).
+// key hashes the plan's JSON encoding, with an explicit trace's canonical
+// JSON after it: field order is fixed and every member marshals
+// deterministically, so two requests asking the same question hash
+// identically regardless of their JSON spelling (field order, omitted
+// defaults, whitespace).
 type jobPlan struct {
 	dist.Statement
 	// Classes are the heuristic classes to bound; empty = Figure 1
@@ -215,12 +216,23 @@ func compile(req *JobRequest) (*jobPlan, error) {
 		return nil, badRequestf("solveTimeoutMillis must not be negative")
 	}
 	p.SolveTimeout = time.Duration(req.SolveTimeoutMillis) * time.Millisecond
-	raw, err := json.Marshal(p)
+	// An explicit trace joins the key as its canonical bytes, after the
+	// rest of the plan: json.Marshal would re-validate and compact them.
+	// The plan is a JSON object, which is self-delimiting, so the framing
+	// is unambiguous; a plan without a trace hashes its JSON alone.
+	bare := *p
+	bare.Trace = nil
+	raw, err := json.Marshal(&bare)
 	if err != nil {
 		return nil, fmt.Errorf("hash request: %w", err)
 	}
-	sum := sha256.Sum256(raw)
-	p.key = "sha256:" + hex.EncodeToString(sum[:])
+	h := sha256.New()
+	h.Write(raw)
+	if p.Trace != nil {
+		trace, _ := p.Trace.MarshalJSON() // the hand-written encoder cannot fail
+		h.Write(trace)
+	}
+	p.key = "sha256:" + hex.EncodeToString(h.Sum(nil))
 	return p, nil
 }
 

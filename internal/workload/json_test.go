@@ -2,8 +2,13 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"wideplace/internal/xrand"
 )
 
 func TestTraceJSONRoundTrip(t *testing.T) {
@@ -83,5 +88,116 @@ func TestTraceJSONRejectsInvalidInput(t *testing.T) {
 				t.Errorf("accepted %s as %+v", c.in, got)
 			}
 		})
+	}
+}
+
+// reflectTraceJSON is the reflection encoder MarshalJSON replaced, kept as
+// the reference for its bytes.
+func reflectTraceJSON(t *Trace) ([]byte, error) {
+	out := traceJSON{
+		Nodes:          t.NumNodes,
+		Objects:        t.NumObjects,
+		DurationMillis: t.Duration.Milliseconds(),
+		Accesses:       make([]accessJSON, len(t.Accesses)),
+	}
+	for i, a := range t.Accesses {
+		out.Accesses[i] = accessJSON{
+			AtMillis: a.At.Milliseconds(),
+			Node:     a.Node,
+			Object:   a.Object,
+			Write:    a.Write,
+		}
+	}
+	return json.Marshal(out)
+}
+
+// randomTraces returns traces the encoder must write as the reflection
+// encoder did: nil and empty access lists, writes, and times, nodes and
+// objects across their ranges, sign included. The traces need not be
+// valid; the encoder writes whatever it is given.
+func randomTraces() []*Trace {
+	rng := xrand.New(26)
+	extremes := []int64{0, 1, -1, 9, 10, 999_999_999_999_999_999, -999_999_999_999_999_999}
+	value := func() int64 {
+		switch rng.Intn(3) {
+		case 0:
+			return extremes[rng.Intn(len(extremes))]
+		case 1:
+			return int64(rng.Intn(1000))
+		default:
+			return int64(rng.Uint64()>>5) - 1<<58
+		}
+	}
+	duration := func() time.Duration {
+		if rng.Intn(4) == 0 {
+			return []time.Duration{math.MaxInt64, math.MinInt64, 0, 999 * time.Microsecond}[rng.Intn(4)]
+		}
+		return time.Duration(rng.Uint64())
+	}
+	traces := []*Trace{
+		{NumNodes: 1, NumObjects: 1, Duration: time.Hour},
+		{NumNodes: 1, NumObjects: 1, Duration: time.Hour, Accesses: []Access{}},
+	}
+	for len(traces) < 200 {
+		tr := &Trace{NumNodes: int(value()), NumObjects: int(value()), Duration: duration()}
+		for n := rng.Intn(40); len(tr.Accesses) < n; {
+			tr.Accesses = append(tr.Accesses, Access{
+				At: duration(), Node: int(value()), Object: int(value()), Write: rng.Intn(3) == 0,
+			})
+		}
+		traces = append(traces, tr)
+	}
+	return traces
+}
+
+// TestTraceMarshalMatchesReflection holds the hand-written encoder to the
+// reflection encoder byte for byte, and the canonical reader to every
+// encoder output, indented too, read into an access list of exact size: a
+// change to either that sent encoded traces down the encoding/json path
+// would fail here, not just run slower.
+func TestTraceMarshalMatchesReflection(t *testing.T) {
+	for i, tr := range randomTraces() {
+		want, err := reflectTraceJSON(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tr.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trace %d encodes as\n%s\nwant\n%s", i, got, want)
+		}
+		var line bytes.Buffer
+		if err := tr.Write(&line); err != nil {
+			t.Fatal(err)
+		}
+		if line.String() != string(want)+"\n" {
+			t.Fatalf("trace %d writes as\n%s\nwant\n%s", i, line.Bytes(), want)
+		}
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, got, "", "\t"); err != nil {
+			t.Fatal(err)
+		}
+		for _, enc := range [][]byte{got, line.Bytes(), indented.Bytes()} {
+			r := canonicalReader{data: enc}
+			h, accs, ok := r.trace()
+			if !ok {
+				t.Fatalf("canonical reader turns down encoder output\n%s", enc)
+			}
+			if h.Nodes != tr.NumNodes || h.Objects != tr.NumObjects ||
+				h.DurationMillis != tr.Duration.Milliseconds() || len(accs) != len(tr.Accesses) {
+				t.Fatalf("trace %d reads back as %+v with %d accesses", i, h, len(accs))
+			}
+			if cap(accs) != len(accs) {
+				t.Fatalf("trace %d reads %d accesses into a list of capacity %d", i, len(accs), cap(accs))
+			}
+			for k, a := range tr.Accesses {
+				a.At = a.At / time.Millisecond * time.Millisecond
+				if accs[k] != a {
+					t.Fatalf("trace %d access %d reads back as %+v, want %+v", i, k, accs[k], a)
+				}
+			}
+		}
 	}
 }
