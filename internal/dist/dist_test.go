@@ -189,6 +189,36 @@ func TestShardWireFormat(t *testing.T) {
 	}
 }
 
+// TestShardTraceReadInPlace pins the worker's fast path: the pinned wire
+// shard and a coordinator's encoding of a larger explicit shard have
+// their trace read in place, with its bytes exactly canonical, so an
+// encoder change that sent them back through encoding/json fails here.
+func TestShardTraceReadInPlace(t *testing.T) {
+	const wire = `{"topology":{"nodes":2,"origin":0,"links":[{"a":0,"b":1,"latencyMillis":5}]},"trace":{"nodes":2,"objects":1,"durationMillis":7200000,"accesses":[{"atMillis":0,"node":1,"object":0},{"atMillis":60000,"node":1,"object":0,"write":true}]},"deltaMillis":3600000,"tlat":150,"qos":[0.9,0.95],"class":"storage-constrained","fingerprint":"sha256:f"}`
+	trace, err := workload.GenerateWeb(workload.WebOptions{Nodes: 6, Objects: 4, Requests: 500, Duration: 2 * time.Hour, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range trace.Accesses {
+		trace.Accesses[i].Write = i%7 == 0
+	}
+	sys := tinySystem(t)
+	marshaled, err := json.Marshal(&ShardJob{Statement: Statement{Topology: sys.Topo, Trace: trace, DeltaMillis: 3600000, QoS: []float64{0.9}},
+		Class: "caching", Fingerprint: "sha256:f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{wire, string(marshaled)} {
+		shard, exact, err := workload.DecodeBody(strings.NewReader(body), int64(len(body)), shardTrace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := shard.Trace.MarshalJSON(); exact == nil || !bytes.Equal(exact, want) {
+			t.Fatalf("trace not read in place as canonical bytes: got %d bytes, want %d", len(exact), len(want))
+		}
+	}
+}
+
 // TestCoordinatorByteIdenticalFigure is the tentpole guarantee at package
 // level: a figure assembled from columns solved by two remote workers is
 // byte-identical (TSV) to the local sweep, and a second coordinator

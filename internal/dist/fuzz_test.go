@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,18 +12,68 @@ import (
 	"wideplace/internal/workload"
 )
 
+// wholeShard decodes a POST /solve body with encoding/json over the whole
+// body, the decode decodeShard must match value for value and error for
+// error.
+func wholeShard(body string) (*ShardJob, error) {
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.DisallowUnknownFields()
+	var shard ShardJob
+	if err := dec.Decode(&shard); err != nil {
+		return nil, err
+	}
+	return &shard, nil
+}
+
 // FuzzShardRequest feeds arbitrary bytes to the POST /solve decoder, the
-// network's way into the topology and trace readers. Decoding must never
-// panic, and a small statement it accepts is built and fingerprinted as a
-// remote worker does before solving: neither may panic, and a built
-// system's counts must have its topology's node count.
+// network's way into the topology and trace readers. It decodes as
+// decodeShard does, through workload.DecodeBody with shardTrace, and
+// holds that to encoding/json over the whole body: both give the same
+// shard, or both fail with the same error, and trace bytes reported as
+// canonical are Trace.MarshalJSON's. Decoding must never panic, and a small statement
+// it accepts is built and fingerprinted as a remote worker does before
+// solving: neither may panic, and a built system's counts must have its
+// topology's node count.
 func FuzzShardRequest(f *testing.F) {
+	const (
+		topo  = `{"nodes":2,"origin":0,"links":[{"a":0,"b":1,"latencyMillis":5}]}`
+		trace = `{"nodes":2,"objects":1,"durationMillis":7200000,"accesses":[{"atMillis":0,"node":1,"object":0},{"atMillis":60000,"node":1,"object":0,"write":true}]}`
+		tail  = `"deltaMillis":3600000,"tlat":150,"qos":[0.9,0.95],"class":"storage-constrained","fingerprint":"sha256:f"`
+	)
+	var indented bytes.Buffer
+	json.Indent(&indented, []byte(trace), "", "  ") //nolint:errcheck // a valid literal
 	f.Add(`{"scenario":{"name":"wire","seed":3,"topology":{"model":"transit-stub","nodes":6},"workload":{"model":"web","objects":4,"requests":100,"horizonMillis":7200000},"qos":[0.9]},"class":"caching","fingerprint":"sha256:f"}`)
-	f.Add(`{"topology":{"nodes":2,"origin":0,"links":[{"a":0,"b":1,"latencyMillis":5}]},"trace":{"nodes":2,"objects":1,"durationMillis":7200000,"accesses":[{"atMillis":0,"node":1,"object":0},{"atMillis":60000,"node":1,"object":0,"write":true}]},"deltaMillis":3600000,"tlat":150,"qos":[0.9,0.95],"class":"storage-constrained","fingerprint":"sha256:f"}`)
+	f.Add(`{"topology":` + topo + `,"trace":` + trace + `,` + tail + `}`)
 	f.Add(`{"topology":{"nodes":2,"origin":0,"links":[]},"trace":{"nodes":2,"objects":1,"durationMillis":7200000,"accesses":[{"atMillis":0,"node":1`)
+	// The trace first and last, case variants of its key before and after
+	// it, whitespace, bytes after the object, and non-canonical traces.
+	f.Add(`{"trace":` + trace + `,"topology":` + topo + `,` + tail + `}`)
+	f.Add(`{"topology":` + topo + `,` + tail + `,"trace":` + trace + `}`)
+	f.Add(`{"Trace":` + trace + `,"topology":` + topo + `,"trace":` + trace + `,` + tail + `}`)
+	f.Add(`{"topology":` + topo + `,"trace":` + trace + `,"TRACE":null,` + tail + `}`)
+	f.Add(`{"class":"trace","scenario":{"name":"trace","trace":` + trace + `},"fingerprint":"sha256:f"}`)
+	f.Add(" {\n\"topology\":" + topo + " ,\t\"trace\" : " + trace + ",\r\n" + tail + " } trailing")
+	f.Add(`{"topology":` + topo + `,"trace":` + strings.Replace(trace, `"atMillis":0`, `"atMillis":-0`, 1) + `,` + tail + `}`)
+	f.Add(`{"topology":` + topo + `,"trace":` + strings.Replace(trace, `"object":0}`, `"object":0,"write":false}`, 1) + `,` + tail + `}`)
+	f.Add(`{"topology":` + topo + `,"trace":` + indented.String() + `,` + tail + `}`)
 	f.Fuzz(func(t *testing.T, body string) {
-		shard, err := decodeShard(strings.NewReader(body))
-		if err != nil || !smallStatement(&shard.Statement) {
+		shard, exact, err := workload.DecodeBody(strings.NewReader(body), int64(len(body)), shardTrace)
+		whole, wholeErr := wholeShard(body)
+		if err != nil || wholeErr != nil {
+			if err == nil || wholeErr == nil || err.Error() != wholeErr.Error() {
+				t.Fatalf("decode fails with %v, the whole-body decode with %v: %q", err, wholeErr, body)
+			}
+			return
+		}
+		if !reflect.DeepEqual(shard, whole) {
+			t.Fatalf("decode reads %+v, the whole-body decode %+v: %q", shard, whole, body)
+		}
+		if exact != nil {
+			if want, _ := shard.Trace.MarshalJSON(); !bytes.Equal(exact, want) {
+				t.Fatalf("reported canonical trace bytes\n%s\nare not\n%s", exact, want)
+			}
+		}
+		if !smallStatement(&shard.Statement) {
 			return
 		}
 		sys, err := shard.Build()

@@ -12,6 +12,7 @@ import (
 
 	"wideplace/internal/experiments"
 	"wideplace/internal/lp"
+	"wideplace/internal/workload"
 )
 
 // maxShardBytes bounds a shard request body; explicit traces dominate the
@@ -72,21 +73,20 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// decodeShard decodes a POST /solve body. Unknown fields are rejected so a
-// coordinator/worker wire drift fails loudly instead of solving a
-// different question.
-func decodeShard(r io.Reader) (*ShardJob, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var shard ShardJob
-	if err := dec.Decode(&shard); err != nil {
-		return nil, err
-	}
-	return &shard, nil
+// decodeShard decodes a POST /solve body of declared length size. Unknown
+// fields are rejected so a coordinator/worker wire drift fails loudly
+// instead of solving a different question. An explicit trace is read in
+// place (workload.DecodeBody).
+func decodeShard(r io.Reader, size int64) (*ShardJob, error) {
+	shard, _, err := workload.DecodeBody(r, size, shardTrace)
+	return shard, err
 }
 
+// shardTrace is the field of a shard that holds its explicit trace.
+func shardTrace(sh *ShardJob) **workload.Trace { return &sh.Trace }
+
 func (w *Worker) handleSolve(rw http.ResponseWriter, r *http.Request) {
-	shard, err := decodeShard(http.MaxBytesReader(rw, r.Body, maxShardBytes))
+	shard, err := decodeShard(http.MaxBytesReader(rw, r.Body, maxShardBytes), r.ContentLength)
 	if err != nil {
 		http.Error(rw, "decode shard: "+err.Error(), http.StatusBadRequest)
 		return

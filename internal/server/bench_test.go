@@ -43,7 +43,7 @@ func BenchmarkExplicitJobDecode(b *testing.B) {
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := decodeJobRequest(bytes.NewReader(body)); err != nil {
+		if _, err := decodeJobRequest(bytes.NewReader(body), int64(len(body))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func BenchmarkExplicitJobDecode(b *testing.B) {
 // BenchmarkExplicitJobKey validates a decoded explicit-system request and
 // computes its content key, the rest of a cache hit's work.
 func BenchmarkExplicitJobKey(b *testing.B) {
-	req, err := decodeJobRequest(bytes.NewReader(explicitBody(b)))
+	req, err := decodeJobRequest(bytes.NewReader(explicitBody(b)), -1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+
+	"wideplace/internal/workload"
 )
 
 // maxRequestBytes bounds a job request body. Explicit traces dominate the
@@ -68,21 +70,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.cfg.Coordinator.WriteMetrics(w)
 }
 
-// decodeJobRequest decodes a POST /jobs body. Unknown fields are rejected
-// so a typoed option fails loudly instead of silently running the wrong
-// question.
-func decodeJobRequest(r io.Reader) (*JobRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
+// decodeJobRequest decodes a POST /jobs body of declared length size.
+// Unknown fields are rejected so a typoed option fails loudly instead of
+// silently running the wrong question. An explicit trace is read in place
+// (workload.DecodeBody); when its bytes are exactly its canonical form,
+// the request keeps them for compile to hash.
+func decodeJobRequest(r io.Reader, size int64) (*JobRequest, error) {
+	req, canonical, err := workload.DecodeBody(r, size, jobTrace)
+	if err != nil {
 		return nil, err
 	}
-	return &req, nil
+	req.canonicalTrace = canonical
+	return req, nil
 }
 
+// jobTrace is the field of a job request that holds its explicit trace.
+func jobTrace(req *JobRequest) **workload.Trace { return &req.Trace }
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
 		return

@@ -93,6 +93,12 @@ type JobRequest struct {
 	// SolveTimeoutMillis caps each LP solve's wall clock (0 = server
 	// default).
 	SolveTimeoutMillis int64 `json:"solveTimeoutMillis,omitempty"`
+
+	// canonicalTrace holds Trace's canonical JSON (Trace.MarshalJSON) when
+	// decodeJobRequest read exactly those bytes from the body, so compile
+	// hashes them instead of encoding the trace again. They alias the
+	// body, which no plan keeps.
+	canonicalTrace []byte
 }
 
 // jobPlan is a validated, canonicalized request: the system statement,
@@ -219,7 +225,8 @@ func compile(req *JobRequest) (*jobPlan, error) {
 	// An explicit trace joins the key as its canonical bytes, after the
 	// rest of the plan: json.Marshal would re-validate and compact them.
 	// The plan is a JSON object, which is self-delimiting, so the framing
-	// is unambiguous; a plan without a trace hashes its JSON alone.
+	// is unambiguous; a plan without a trace hashes its JSON alone. Bytes
+	// the body already held are hashed as they are and not kept.
 	bare := *p
 	bare.Trace = nil
 	raw, err := json.Marshal(&bare)
@@ -229,7 +236,10 @@ func compile(req *JobRequest) (*jobPlan, error) {
 	h := sha256.New()
 	h.Write(raw)
 	if p.Trace != nil {
-		trace, _ := p.Trace.MarshalJSON() // the hand-written encoder cannot fail
+		trace := req.canonicalTrace
+		if trace == nil {
+			trace, _ = p.Trace.MarshalJSON() // the hand-written encoder cannot fail
+		}
 		h.Write(trace)
 	}
 	p.key = "sha256:" + hex.EncodeToString(h.Sum(nil))

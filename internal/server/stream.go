@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"wideplace/internal/controller"
@@ -50,6 +52,41 @@ type streamTrailer struct {
 	WallNs          int64 `json:"wallNs"`
 }
 
+// decodeStreamRequest decodes a POST /controller/stream body and makes
+// every check that needs no compile: a scenario is stated, tqos (0.95
+// when unset) lies in (0, 1), the replay bounds are not negative, and the
+// scenario validates, size caps included, at the request's deltaMillis
+// override. It returns the request with its default filled in and the
+// spec to compile. Unknown fields are rejected, as for POST /jobs.
+func decodeStreamRequest(r io.Reader) (*StreamRequest, scenario.Spec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var req StreamRequest
+	if err := dec.Decode(&req); err != nil {
+		return nil, scenario.Spec{}, fmt.Errorf("decode request: %w", err)
+	}
+	if req.Scenario == nil {
+		return nil, scenario.Spec{}, errors.New("a controller stream needs a scenario")
+	}
+	if req.TQoS == 0 {
+		req.TQoS = 0.95
+	}
+	if req.TQoS <= 0 || req.TQoS >= 1 {
+		return nil, scenario.Spec{}, fmt.Errorf("tqos %g outside (0, 1)", req.TQoS)
+	}
+	if req.Intervals < 0 || req.DeltaMillis < 0 {
+		return nil, scenario.Spec{}, errors.New("intervals and deltaMillis must not be negative")
+	}
+	spec := *req.Scenario
+	if req.DeltaMillis > 0 {
+		spec.DeltaMillis = req.DeltaMillis
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, scenario.Spec{}, err
+	}
+	return &req, spec, nil
+}
+
 // handleControllerStream runs the online control loop over a drift
 // scenario and streams each interval's StepResult as one JSON line
 // (application/x-ndjson), flushed as soon as it is solved — a dashboard
@@ -67,33 +104,11 @@ func (s *Server) handleControllerStream(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusServiceUnavailable, ErrDraining.Error())
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	var req StreamRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
+	req, spec, err := decodeStreamRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.Scenario == nil {
-		writeError(w, http.StatusBadRequest, "a controller stream needs a scenario")
-		return
-	}
-	if req.TQoS == 0 {
-		req.TQoS = 0.95
-	}
-	if req.TQoS <= 0 || req.TQoS >= 1 {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("tqos %g outside (0, 1)", req.TQoS))
-		return
-	}
-	if req.Intervals < 0 || req.DeltaMillis < 0 {
-		writeError(w, http.StatusBadRequest, "intervals and deltaMillis must not be negative")
-		return
-	}
-	spec := *req.Scenario
-	if req.DeltaMillis > 0 {
-		spec.DeltaMillis = req.DeltaMillis
-	}
-	// Compile validates the spec, size caps included, before generating.
 	res, err := scenario.Compile(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

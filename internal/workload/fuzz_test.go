@@ -17,7 +17,8 @@ const fuzzBucketCells = 1 << 16
 // must satisfy the validated invariants, bucket without panicking, and
 // survive a Write/Read round trip unchanged. The canonical reader is held
 // to encoding/json: whatever it accepts, json.Unmarshal must accept with
-// the same value.
+// the same value. Input the reader does not mark loose must be exactly
+// MarshalJSON's output of the trace it builds.
 func FuzzTraceJSON(f *testing.F) {
 	f.Add(`{"nodes":2,"objects":1,"durationMillis":3600000,"accesses":[{"atMillis":0,"node":1,"object":0}]}`)
 	f.Add(`{"nodes":1,"objects":1,"durationMillis":1000,"accesses":[]}`)
@@ -46,9 +47,20 @@ func FuzzTraceJSON(f *testing.F) {
 	f.Add(`{"nodes":2,"objects":1,"durationMillis":999999999999999999,"accesses":[]}`)
 	f.Add(`{"nodes":2,"objects":1,"durationMillis":9223372036854775807,"accesses":[]}`)
 	f.Add(`{"nodes":2,"objects":1,"durationMillis":1000,"accesses":[{"atMillis":0,"node":1000000000000000000,"object":0}]}`)
+	f.Add(`{"nodes":2,"objects":1,"durationMillis":1000,"accesses":[{"atMillis":18446744073710,"node":1,"object":0}]}`)
+	// Canonical spellings, and near misses the reader reads but marks loose.
+	f.Add(`{"nodes":2,"objects":1,"durationMillis":1000,"accesses":[{"atMillis":0,"node":1,"object":0},{"atMillis":9,"node":0,"object":0,"write":true}]}`)
+	f.Add(`{"nodes":2,"objects":1,"durationMillis":1000,"accesses":[{"atMillis":0,"node":1,"object":0,"write":false}]}`)
+	f.Add(`{"objects":1,"nodes":2,"durationMillis":1000,"accesses":[{"node":1,"atMillis":0,"object":0}]}`)
+	f.Add(`{"nodes":2,"objects":1,"durationMillis":1000}`)
 	f.Fuzz(func(t *testing.T, s string) {
 		r := canonicalReader{data: []byte(s)}
 		if h, accs, ok := r.trace(); ok {
+			if tr, err := h.build(accs); err == nil && !r.loose {
+				if canonical, _ := tr.MarshalJSON(); string(canonical) != s {
+					t.Fatalf("canonical reader reads %q as exact, MarshalJSON writes %q", s, canonical)
+				}
+			}
 			var ref traceJSON
 			if err := json.Unmarshal([]byte(s), &ref); err != nil {
 				t.Fatalf("canonical reader accepts what encoding/json rejects (%v): %q", err, s)
